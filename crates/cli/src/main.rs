@@ -15,11 +15,12 @@
 //! orfpred drift    (--csv fleet.csv | --store store/) [--top N]
 //! orfpred assess   (--csv fleet.csv | --store store/) [--seed N]
 //! orfpred serve    [--shards N] [--listen ADDR] [--checkpoint PATH] [--store DIR]
-//!                  [--threshold T] [--window W] [--seed N]
+//!                  [--threshold T] [--window W] [--seed N] [--trees K]
+//!                  [--queue-capacity Q] [--snapshot-every M]
 //!                  [--prep] [--stuck-run K] [--recheck-days D] [--max-value X]
 //!                  [--drift-policy no-update|replace|accumulate]
 //!                  [--drift-z Z] [--drift-window W] [--drift-check-every E]
-//!                  [--tenant SPEC]...
+//! orfpred serve    [--listen ADDR] --tenant SPEC [--tenant SPEC]...
 //! ```
 //!
 //! * `simulate` writes a Backblaze-format CSV from the fleet simulator —
@@ -54,18 +55,20 @@
 //!   aging;
 //! * `assess` trains a multi-level health assessor and triages every disk's
 //!   latest snapshot into act-now / schedule / healthy bands;
-//! * `serve` runs the sharded online serving engine on stdin/stdout (and
-//!   optionally a TCP listener) — the same daemon as the `orfpredd`
-//!   binary; see `README.md` ("Serving") for the line protocol. `--prep`
-//!   arms the telemetry repair stage (imputation, range/stuck-at checks,
-//!   duplicate handling, failure re-checks; the extra knobs tune it), and
+//! * `serve` is the `orfpredd` daemon in this process: the same flag set,
+//!   parsed by `orfpred_fleet::parse_daemon_args`, run by
+//!   `orfpred_fleet::run` on stdin/stdout (and optionally a TCP listener);
+//!   see `README.md` ("Serving") for the line protocol. Without `--tenant`
+//!   the flags build one tenant named `default`. `--prep` arms its
+//!   telemetry repair stage (imputation, range/stuck-at checks, duplicate
+//!   handling, failure re-checks; the extra knobs tune it), and
 //!   `--drift-policy` closes the loop: a detected distribution shift in
 //!   the released healthy population triggers the chosen long-term update
 //!   policy live, republishing the model through the snapshot path. One or
-//!   more `--tenant name[,key=value]...` flags switch to the multi-tenant
-//!   fleet daemon instead (per-tenant engines, request routing by the
-//!   `"tenant"` field, the ORFB binary wire protocol, live resharding);
-//!   see `README.md` ("Serving a fleet of models").
+//!   more `--tenant name[,key=value]...` flags host those tenants instead
+//!   (per-tenant engines, request routing by the `"tenant"` field, the
+//!   ORFB binary wire protocol, live resharding); see `README.md`
+//!   ("Serving a fleet of models").
 
 use std::io::BufReader;
 use std::process::ExitCode;
@@ -119,16 +122,6 @@ impl Args {
             .rev()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// Every value a repeatable flag was given, in order (`--tenant A
-    /// --tenant B`).
-    fn get_all(&self, name: &str) -> Vec<&str> {
-        self.pairs
-            .iter()
-            .filter(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-            .collect()
     }
 
     fn require(&self, name: &str) -> Result<&str, String> {
@@ -626,118 +619,16 @@ fn assess(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `orfpred serve [daemon flags]`: the `orfpredd` daemon in this process,
+/// with the same flag parser, loop and shutdown summary.
 fn serve(argv: &[String]) -> Result<(), String> {
-    use orfpred_core::{AdaptConfig, OnlinePredictorConfig, UpdatePolicy};
-    use orfpred_serve::{DaemonConfig, ServeConfig};
-
-    let args = Args::parse(argv, &["prep"])?;
-
-    // One or more --tenant specs select the multi-tenant fleet daemon;
-    // the single-tenant tuning flags below are ignored in that mode (each
-    // tenant carries its own knobs in its spec).
-    let tenant_specs = args.get_all("tenant");
-    if !tenant_specs.is_empty() {
-        let mut tenants = Vec::new();
-        for spec in tenant_specs {
-            tenants.push(orfpred_fleet::parse_tenant_spec(spec)?);
-        }
-        let mut cfg = orfpred_fleet::FleetDaemonConfig::new(tenants);
-        cfg.listen = args.get("listen").map(str::to_string);
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let fins = orfpred_fleet::run(&cfg, stdin.lock(), stdout.lock())?;
-        eprintln!("serve: clean shutdown, {} tenants", fins.len());
-        for f in &fins {
-            eprintln!(
-                "serve: tenant `{}`: {} events, {} alarms, {} drift events, {} rebuilds, {} reshards",
-                f.tenant,
-                f.counters.events,
-                f.counters.alarms,
-                f.counters.drift_events,
-                f.counters.model_rebuilds,
-                f.counters.reshards,
-            );
-        }
+    if argv.iter().any(|a| a == "-h" || a == "--help") {
+        print!("{}", orfpred_fleet::DAEMON_USAGE);
         return Ok(());
     }
-
-    let mut predictor = OnlinePredictorConfig::new(
-        orfpred_smart::attrs::table2_feature_columns(),
-        args.parse_num("seed", 42u64)?,
-    );
-    predictor.alarm_threshold = args.parse_num("threshold", predictor.alarm_threshold)?;
-    predictor.window_days = args.parse_num("window", predictor.window_days)?;
-    predictor.orf.n_trees = args.parse_num("trees", predictor.orf.n_trees)?;
-    // Telemetry repair stage: --prep arms the tolerant profile; any of the
-    // tuning knobs implies it.
-    if args.has("prep")
-        || args.get("stuck-run").is_some()
-        || args.get("recheck-days").is_some()
-        || args.get("max-value").is_some()
-    {
-        let mut prep = orfpred_prep::PrepConfig::tolerant();
-        prep.stuck_run = args.parse_num("stuck-run", prep.stuck_run)?;
-        prep.recheck_days = args.parse_num("recheck-days", prep.recheck_days)?;
-        if let Some(v) = args.get("max-value") {
-            prep.max_value = Some(
-                v.parse()
-                    .map_err(|_| format!("--max-value: bad value '{v}'"))?,
-            );
-        }
-        predictor.prep = Some(prep);
-    }
-    // Closed-loop adaptation: a detected shift in the released healthy
-    // population triggers the chosen long-term update policy live.
-    if let Some(name) = args.get("drift-policy") {
-        let policy = match name {
-            "no-update" => UpdatePolicy::NoUpdate,
-            "replace" => UpdatePolicy::Replace,
-            "accumulate" => UpdatePolicy::Accumulate,
-            other => {
-                return Err(format!(
-                    "--drift-policy: unknown policy '{other}' (no-update|replace|accumulate)"
-                ))
-            }
-        };
-        let mut adapt = AdaptConfig::new(policy, predictor.feature_cols.clone());
-        adapt.detector.z_threshold = args.parse_num("drift-z", adapt.detector.z_threshold)?;
-        adapt.detector.window = args.parse_num("drift-window", adapt.detector.window)?;
-        adapt.detector.check_every =
-            args.parse_num("drift-check-every", adapt.detector.check_every)?;
-        predictor.adapt = Some(adapt);
-    }
-    let mut serve = ServeConfig::new(predictor);
-    serve.n_shards = args.parse_num("shards", serve.n_shards)?;
-    serve.queue_capacity = args.parse_num("queue-capacity", serve.queue_capacity)?;
-    serve.snapshot_every = args.parse_num("snapshot-every", serve.snapshot_every)?;
-    if serve.n_shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    let cfg = DaemonConfig {
-        serve,
-        listen: args.get("listen").map(str::to_string),
-        checkpoint_path: args.get("checkpoint").map(std::path::PathBuf::from),
-        catchup_store: args.get("store").map(std::path::PathBuf::from),
-    };
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let finished = orfpred_serve::daemon::run(&cfg, stdin.lock(), stdout.lock())?;
-    eprintln!(
-        "serve: clean shutdown, {} alarms in stream",
-        finished.alarms.len()
-    );
-    // lint: allow(checkpoint_coverage, reason="read-only peek at two optional reports for shutdown logging; restore completeness is enforced at Engine::restore")
-    let orfpred_serve::Checkpoint::Online { prep, adapt, .. } = &finished.checkpoint;
-    if let Some(p) = prep {
-        eprintln!("{}", p.counters().render());
-    }
-    if let Some(ad) = adapt {
-        eprintln!(
-            "serve: {} drift events, {} model rebuilds",
-            ad.drift_events(),
-            ad.rebuilds()
-        );
-    }
+    let cfg = orfpred_fleet::parse_daemon_args(argv.iter().cloned())?;
+    let fins = orfpred_fleet::run(&cfg, std::io::stdin().lock(), std::io::stdout().lock())?;
+    eprint!("{}", orfpred_fleet::shutdown_summary("serve", &fins));
     Ok(())
 }
 

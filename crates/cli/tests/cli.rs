@@ -404,3 +404,92 @@ fn bad_usage_exits_nonzero_with_message() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+/// Run `orfpred serve` with `args`, feeding `input` on stdin.
+fn serve(args: &[&str], input: &str) -> std::process::Output {
+    use std::io::Write;
+    use std::process::Stdio;
+    let mut child = bin()
+        .arg("serve")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn orfpred serve");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all(input.as_bytes())
+        .expect("write stdin");
+    child.wait_with_output().expect("orfpred serve exits")
+}
+
+#[test]
+fn serve_takes_the_orfpredd_flag_set() {
+    // The flag list `crates/fleet/tests/orfpredd.rs` gives `orfpredd`.
+    let (ck, ck_arg) = tmp("serve_ck.json");
+    let out = serve(
+        &[
+            "--shards",
+            "2",
+            "--listen",
+            "127.0.0.1:0",
+            "--checkpoint",
+            &ck_arg,
+            "--threshold",
+            "0.6",
+            "--window",
+            "5",
+            "--seed",
+            "7",
+            "--trees",
+            "9",
+            "--queue-capacity",
+            "64",
+            "--snapshot-every",
+            "32",
+            "--prep",
+            "--stuck-run",
+            "3",
+            "--recheck-days",
+            "1",
+            "--max-value",
+            "1e6",
+            "--drift-policy",
+            "accumulate",
+            "--drift-z",
+            "3.5",
+            "--drift-window",
+            "200",
+            "--drift-check-every",
+            "50",
+        ],
+        "{\"type\":\"sample\",\"disk_id\":1,\"day\":0,\"features\":[1,2,3]}\n\
+         {\"type\":\"stats\"}\n{\"type\":\"checkpoint\"}\n{\"type\":\"shutdown\"}\n",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "serve failed: {stderr}");
+    assert!(
+        stdout.contains("\"type\":\"stats\",\"tenant\":\"default\""),
+        "{stdout}"
+    );
+    assert!(stdout.contains("\"what\":\"checkpoint "), "{stdout}");
+    assert!(stdout.contains("\"what\":\"shutdown\""), "{stdout}");
+    assert!(
+        stderr.contains("serve: clean shutdown, 1 tenant(s)"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("serve: tenant `default`: 1 events"),
+        "{stderr}"
+    );
+    assert!(ck.exists(), "default checkpoint written");
+    std::fs::remove_file(&ck).ok();
+
+    let out = serve(&["--tenant", "a", "--shards", "3"], "");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`shards=...`"));
+}

@@ -1,293 +1,35 @@
 //! `orfpredd` — the ORF serving daemon.
 //!
-//! Without `--tenant` flags this is the classic single-tenant daemon:
-//! line-delimited JSON protocol events on stdin, alarms and replies on
-//! stdout, optional TCP listener, atomic checkpoints (see `README.md`,
-//! "Serving").
-//!
-//! With one or more `--tenant` flags it becomes the multi-tenant fleet
-//! daemon: each tenant is an independent engine (own domain schema, shard
-//! count, checkpoint lineage, store catch-up cursor), JSON requests route
-//! by their `"tenant"` field, and connections — stdin included — may open
-//! a compact binary session instead by leading with the `ORFB` magic.
-//! Tenants can be live-resharded without restart via `reshard` requests.
-//!
-//! ```text
-//! orfpredd [--shards N] [--listen ADDR] [--checkpoint PATH]
-//!          [--store DIR] [--threshold T] [--window W] [--seed S]
-//!          [--trees K] [--queue-capacity Q] [--snapshot-every M]
-//!          [--tenant SPEC]...
-//! ```
+//! A thin front-end: [`parse_daemon_args`] builds the configuration,
+//! [`orfpred_fleet::run`] serves line-delimited JSON or ORFB binary
+//! sessions on stdin/stdout (plus an optional TCP listener), and
+//! [`shutdown_summary`] reports each tenant on stderr. Without `--tenant`
+//! flags the tenant flags build one tenant named `default`, whose requests
+//! need no `"tenant"` field (see `README.md`, "Serving"). `orfpred serve`
+//! is the same front-end. `orfpredd --help` prints the flag set
+//! ([`DAEMON_USAGE`]).
 
-use orfpred_core::OnlinePredictorConfig;
-use orfpred_fleet::{parse_tenant_spec, FleetDaemonConfig, TenantFinished};
-use orfpred_serve::{DaemonConfig, ServeConfig};
-use orfpred_smart::attrs::table2_feature_columns;
-use std::io::Write;
-use std::path::PathBuf;
-
-const USAGE: &str = "\
-orfpredd — sharded online disk-failure-prediction daemon
-
-USAGE:
-    orfpredd [OPTIONS]
-
-SINGLE-TENANT OPTIONS:
-    --shards N           labelling shard threads (default 4)
-    --checkpoint PATH    restore from PATH if it exists; checkpoint to it
-                         on shutdown and on path-less checkpoint requests
-    --store DIR          replay the telemetry store at DIR before going
-                         live, skipping events the restored checkpoint
-                         already covers
-    --threshold T        alarm threshold (default 0.5)
-    --window W           labelling window W in days (default 7)
-    --seed S             forest RNG seed (default 42)
-    --trees K            number of trees (default from OrfConfig)
-    --queue-capacity Q   per-shard bounded queue capacity (default 1024)
-    --snapshot-every M   publish a scoring snapshot every M samples
-                         (default 256)
-
-FLEET OPTIONS:
-    --tenant SPEC        host a tenant; repeatable. SPEC is
-                         name[,key=value]... with keys domain (smart|
-                         smart-windowed|mce), shards, threshold, window,
-                         seed, trees, queue, snapshot, store, checkpoint,
-                         cols=i:j:k. With --tenant flags the single-tenant
-                         options above are ignored; requests route by
-                         their \"tenant\" field, and any connection
-                         (stdin included) may open a binary session by
-                         leading with the ORFB magic.
-
-SHARED OPTIONS:
-    --listen ADDR        also serve the protocol on this TCP address
-    -h, --help           print this help
-";
-
-fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, String> {
-    value
-        .ok_or_else(|| format!("{flag} needs a value"))?
-        .parse()
-        .map_err(|_| format!("{flag}: invalid value"))
-}
-
-/// Which daemon the arguments select (the single-tenant config is boxed —
-/// it inlines a full predictor config and dwarfs the fleet variant).
-enum Daemon {
-    Single(Box<DaemonConfig>),
-    Fleet(FleetDaemonConfig),
-}
-
-fn build_config(mut argv: impl Iterator<Item = String>) -> Result<Daemon, String> {
-    let mut predictor = OnlinePredictorConfig::new(table2_feature_columns(), 42);
-    let mut serve = ServeConfig::new(predictor.clone());
-    let mut listen = None;
-    let mut checkpoint_path = None;
-    let mut catchup_store = None;
-    let mut tenants = Vec::new();
-
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--shards" => serve.n_shards = parse("--shards", argv.next())?,
-            "--listen" => listen = Some(argv.next().ok_or("--listen needs a value")?),
-            "--checkpoint" => {
-                checkpoint_path = Some(PathBuf::from(
-                    argv.next().ok_or("--checkpoint needs a value")?,
-                ));
-            }
-            "--store" => {
-                catchup_store = Some(PathBuf::from(argv.next().ok_or("--store needs a value")?));
-            }
-            "--threshold" => predictor.alarm_threshold = parse("--threshold", argv.next())?,
-            "--window" => predictor.window_days = parse("--window", argv.next())?,
-            "--seed" => predictor.seed = parse("--seed", argv.next())?,
-            "--trees" => predictor.orf.n_trees = parse("--trees", argv.next())?,
-            "--queue-capacity" => {
-                serve.queue_capacity = parse("--queue-capacity", argv.next())?;
-            }
-            "--snapshot-every" => {
-                serve.snapshot_every = parse("--snapshot-every", argv.next())?;
-            }
-            "--tenant" => {
-                let spec = argv.next().ok_or("--tenant needs a value")?;
-                tenants.push(parse_tenant_spec(&spec)?);
-            }
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`\n\n{USAGE}")),
-        }
-    }
-
-    if !tenants.is_empty() {
-        let mut cfg = FleetDaemonConfig::new(tenants);
-        cfg.listen = listen;
-        return Ok(Daemon::Fleet(cfg));
-    }
-    if serve.n_shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    serve.predictor = predictor;
-    Ok(Daemon::Single(Box::new(DaemonConfig {
-        serve,
-        listen,
-        checkpoint_path,
-        catchup_store,
-    })))
-}
-
-/// The per-tenant shutdown report written to stderr (one line per tenant).
-fn fleet_summary(fins: &[TenantFinished]) -> String {
-    let mut out = String::from("orfpredd: clean shutdown\n");
-    for f in fins {
-        out.push_str(&format!(
-            "orfpredd: tenant `{}`: {} events, {} alarms, {} drift events, {} rebuilds, {} reshards\n",
-            f.tenant,
-            f.counters.events,
-            f.counters.alarms,
-            f.counters.drift_events,
-            f.counters.model_rebuilds,
-            f.counters.reshards,
-        ));
-    }
-    out
-}
+use orfpred_fleet::{parse_daemon_args, shutdown_summary, DAEMON_USAGE};
 
 fn main() {
     // lint: allow(nondeterminism, reason="argv is the program's input, read once at startup; nothing downstream branches on ambient state")
-    let cfg = match build_config(std::env::args().skip(1)) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.iter().any(|a| a == "-h" || a == "--help") {
+        print!("{DAEMON_USAGE}");
+        return;
+    }
+    let cfg = match parse_daemon_args(argv) {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("orfpredd: {e}");
             std::process::exit(2);
         }
     };
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    match cfg {
-        Daemon::Single(cfg) => {
-            match orfpred_serve::daemon::run(&cfg, stdin.lock(), stdout.lock()) {
-                Ok(finished) => {
-                    let stats = format!(
-                        "orfpredd: clean shutdown, {} alarms in stream",
-                        finished.alarms.len()
-                    );
-                    let _ = writeln!(std::io::stderr(), "{stats}");
-                }
-                Err(e) => {
-                    eprintln!("orfpredd: {e}");
-                    std::process::exit(1);
-                }
-            }
+    match orfpred_fleet::run(&cfg, std::io::stdin().lock(), std::io::stdout().lock()) {
+        Ok(fins) => eprint!("{}", shutdown_summary("orfpredd", &fins)),
+        Err(e) => {
+            eprintln!("orfpredd: {e}");
+            std::process::exit(1);
         }
-        Daemon::Fleet(cfg) => match orfpred_fleet::run(&cfg, stdin.lock(), stdout.lock()) {
-            Ok(fins) => {
-                let _ = write!(std::io::stderr(), "{}", fleet_summary(&fins));
-            }
-            Err(e) => {
-                eprintln!("orfpredd: {e}");
-                std::process::exit(1);
-            }
-        },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(list: &[&str]) -> impl Iterator<Item = String> {
-        list.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
-    }
-
-    #[test]
-    fn defaults_and_overrides_parse() {
-        let Daemon::Single(cfg) = build_config(args(&[])).unwrap() else {
-            panic!("no --tenant flags means the single-tenant daemon");
-        };
-        assert_eq!(cfg.serve.n_shards, 4);
-        assert!(cfg.listen.is_none());
-
-        let Daemon::Single(cfg) = build_config(args(&[
-            "--shards",
-            "8",
-            "--threshold",
-            "0.7",
-            "--checkpoint",
-            "/tmp/ck.json",
-            "--listen",
-            "127.0.0.1:7077",
-        ]))
-        .unwrap() else {
-            panic!("still single-tenant");
-        };
-        assert_eq!(cfg.serve.n_shards, 8);
-        assert_eq!(cfg.serve.predictor.alarm_threshold, 0.7);
-        assert_eq!(cfg.listen.as_deref(), Some("127.0.0.1:7077"));
-        assert!(cfg.checkpoint_path.is_some());
-    }
-
-    #[test]
-    fn tenant_flags_select_the_fleet_daemon() {
-        let Daemon::Fleet(cfg) = build_config(args(&[
-            "--tenant",
-            "sta,shards=2",
-            "--tenant",
-            "mce0,domain=mce",
-            "--listen",
-            "127.0.0.1:7078",
-        ]))
-        .unwrap() else {
-            panic!("--tenant flags select the fleet daemon");
-        };
-        assert_eq!(cfg.tenants.len(), 2);
-        assert_eq!(cfg.tenants[0].name, "sta");
-        assert_eq!(cfg.tenants[0].serve.n_shards, 2);
-        assert_eq!(cfg.tenants[1].name, "mce0");
-        assert_eq!(cfg.listen.as_deref(), Some("127.0.0.1:7078"));
-    }
-
-    #[test]
-    fn bad_arguments_are_rejected() {
-        assert!(build_config(args(&["--shards"])).is_err());
-        assert!(build_config(args(&["--shards", "zero"])).is_err());
-        assert!(build_config(args(&["--shards", "0"])).is_err());
-        assert!(build_config(args(&["--frobnicate"])).is_err());
-        assert!(build_config(args(&["--tenant", "t,domain=lustre"])).is_err());
-        assert!(build_config(args(&["--tenant"])).is_err());
-    }
-
-    #[test]
-    fn fleet_summary_reports_per_tenant_counters() {
-        use orfpred_fleet::TenantCounters;
-        use orfpred_serve::Checkpoint;
-
-        // A synthetic finished record is enough to pin the format.
-        let mut p = OnlinePredictorConfig::new(vec![0], 1);
-        p.orf.n_trees = 1;
-        let serve = ServeConfig::new(p);
-        let engine = orfpred_serve::Engine::new(&serve);
-        let fin = engine.finish().unwrap();
-        let _: &Checkpoint = &fin.checkpoint;
-        let fins = vec![TenantFinished {
-            tenant: "sta".into(),
-            alarms: Vec::new(),
-            checkpoint: fin.checkpoint,
-            counters: TenantCounters {
-                events: 10,
-                alarms: 2,
-                drift_events: 1,
-                model_rebuilds: 1,
-                reshards: 3,
-            },
-        }];
-        let text = fleet_summary(&fins);
-        assert!(text.contains("tenant `sta`"));
-        assert!(text.contains("10 events"));
-        assert!(text.contains("2 alarms"));
-        assert!(text.contains("3 reshards"));
     }
 }

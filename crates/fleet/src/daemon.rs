@@ -1,13 +1,17 @@
-//! The multi-tenant `orfpredd` loop: one primary input, one TCP listener,
-//! two wire formats, many tenants.
+//! The `orfpredd` loop (also run by `orfpred serve`): one primary input,
+//! one TCP listener, two wire formats, one or more tenants.
 //!
 //! Mode negotiation is sniffed per connection (and on the primary input):
 //! a stream that opens with the 4-byte magic `ORFB` is a binary session —
 //! it must then `Hello` with a wire version, a tenant name, and that
 //! tenant's schema fingerprint, and stays bound to that tenant for its
 //! lifetime. Anything else is line-JSON, where each request may carry an
-//! optional `"tenant"` field (omitted = the fleet's only tenant, keeping
-//! single-tenant scripts byte-compatible with the classic daemon).
+//! optional `"tenant"` field (omitted = the fleet's only tenant, so
+//! scripts for a one-tenant daemon never name one).
+//!
+//! On `shutdown` (primary input only) or end of primary input, every
+//! tenant drains, its remaining alarms are written, and each tenant with a
+//! default checkpoint path saves its final state there atomically.
 //!
 //! Binary ingest is batched: consecutive `Sample`/`Failure` frames are
 //! decoded into a local buffer and pushed under **one** tenant-lock
@@ -90,10 +94,9 @@ fn drain_alarm_lines(fleet: &FleetEngine, tenant: Option<&str>, lines: &mut Vec<
     let Ok(name) = fleet.resolve_tenant(tenant) else {
         return;
     };
-    let name = name.to_string();
-    if let Ok(alarms) = fleet.take_alarms(Some(&name)) {
+    if let Ok(alarms) = fleet.take_alarms(Some(name)) {
         for a in &alarms {
-            lines.push(alarm_line(&name, a));
+            lines.push(alarm_line(name, a));
         }
     }
 }
@@ -630,6 +633,20 @@ pub fn run(
     fleet.finish()
 }
 
+/// The shutdown report for stderr: one line for the daemon, then one per
+/// finished tenant, each prefixed with `prog`.
+pub fn shutdown_summary(prog: &str, fins: &[TenantFinished]) -> String {
+    let mut out = format!("{prog}: clean shutdown, {} tenant(s)\n", fins.len());
+    for f in fins {
+        let c = &f.counters;
+        out.push_str(&format!(
+            "{prog}: tenant `{}`: {} events, {} alarms, {} drift events, {} rebuilds, {} reshards\n",
+            f.tenant, c.events, c.alarms, c.drift_events, c.model_rebuilds, c.reshards,
+        ));
+    }
+    out
+}
+
 /// Accept TCP connections, each served on its own thread in whichever wire
 /// format it opens with. Connections cannot shut the daemon down.
 fn accept_loop(listener: &TcpListener, fleet: &Arc<FleetEngine>) {
@@ -661,6 +678,7 @@ fn accept_loop(listener: &TcpListener, fleet: &Arc<FleetEngine>) {
 mod tests {
     use super::*;
     use orfpred_core::OnlinePredictorConfig;
+    use orfpred_serve::Checkpoint;
     use std::io::Cursor;
 
     fn predictor(seed: u64) -> OnlinePredictorConfig {
@@ -700,9 +718,33 @@ mod tests {
         script.push_str("{\"type\":\"score\",\"tenant\":\"stb\",\"features\":[1.0,1.0]}\n");
         script.push_str("{\"type\":\"stats\",\"tenant\":\"nope\"}\n");
         script.push_str("{\"type\":\"stats\"}\n"); // ambiguous in a 2-tenant fleet
+        let ck =
+            std::env::temp_dir().join(format!("orfpred_fleet_route_{}.json", std::process::id()));
+        script.push_str(&format!(
+            "{{\"type\":\"checkpoint\",\"tenant\":\"sta\",\"path\":\"{}\"}}\n",
+            ck.display()
+        ));
         script.push_str("{\"type\":\"shutdown\"}\n");
 
         let (fins, lines) = run_script(&two_tenant_cfg(), &script);
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("\"type\":\"ok\"") && l.contains("checkpoint")));
+        let last_reply = lines
+            .iter()
+            .rev()
+            .find(|l| !l.contains("\"type\":\"alarm\""));
+        assert!(
+            last_reply.is_some_and(|l| l.contains("\"what\":\"shutdown\"")),
+            "shutdown is the last reply: {lines:?}"
+        );
+        let Checkpoint::Online { labeller, .. } = Checkpoint::load(&ck).unwrap();
+        assert_eq!(
+            labeller.unwrap().n_pending(),
+            0,
+            "the failure flushed the queue before the checkpoint"
+        );
+        std::fs::remove_file(&ck).ok();
         assert_eq!(fins.len(), 2);
         assert!(lines
             .iter()
@@ -894,9 +936,170 @@ mod tests {
     #[test]
     fn malformed_lines_and_partial_magic_do_not_kill_the_daemon() {
         let cfg = FleetDaemonConfig::new(vec![TenantConfig::new("solo", predictor(7))]);
-        let script = "garbage\n{\"type\":\"stats\"}\n{\"type\":\"shutdown\"}\n";
+        let script =
+            "garbage\n{\"type\":\"nope\"}\n{\"type\":\"stats\"}\n{\"type\":\"shutdown\"}\n";
         let (_, lines) = run_script(&cfg, script);
-        assert!(lines.iter().any(|l| l.contains("\"type\":\"error\"")));
+        let errors = lines
+            .iter()
+            .filter(|l| l.contains("\"type\":\"error\""))
+            .count();
+        assert_eq!(errors, 2, "one error per bad line: {lines:?}");
         assert!(lines.iter().any(|l| l.contains("\"type\":\"stats\"")));
+    }
+
+    #[test]
+    fn eof_checkpoints_and_a_restart_resumes_after_store_catch_up() {
+        use orfpred_smart::gen::{FleetConfig, ScalePreset};
+
+        let base =
+            std::env::temp_dir().join(format!("orfpred_fleet_restart_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let store_dir = base.join("store");
+        let ck = base.join("ck.json");
+        let mut fleet = FleetConfig::sta(ScalePreset::Tiny, 7);
+        fleet.n_good = 6;
+        fleet.n_failed = 2;
+        fleet.duration_days = 60;
+        let store_cfg = orfpred_store::StoreConfig {
+            segment_rows: 64,
+            ..Default::default()
+        };
+        orfpred_store::record_fleet(&store_dir, &fleet, store_cfg).unwrap();
+        let total = orfpred_store::Store::open(&store_dir)
+            .unwrap()
+            .events()
+            .count() as u64;
+
+        let mut tenant = TenantConfig::new("solo", predictor(7));
+        tenant.checkpoint_path = Some(ck.clone());
+        tenant.catchup_store = Some(store_dir);
+        let cfg = FleetDaemonConfig::new(vec![tenant]);
+
+        // First run: a fresh engine, so the whole store is the tail. Bare
+        // EOF, no shutdown request, still writes the default checkpoint.
+        let (_, lines) = run_script(&cfg, "");
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains(&format!("applied {total} events")) && l.contains("skipped 0")),
+            "catch-up note missing: {lines:?}"
+        );
+        let Checkpoint::Online {
+            events_ingested,
+            next_seq: first_seq,
+            ..
+        } = Checkpoint::load(&ck).unwrap();
+        assert_eq!(events_ingested, Some(total));
+
+        // Second run restores: the cursor covers the whole store, so
+        // catch-up applies nothing and the stream continues from the
+        // checkpoint's sequence number.
+        let mut script = String::new();
+        for day in 0..10 {
+            script.push_str(&format!(
+                "{{\"type\":\"sample\",\"disk_id\":9999,\"day\":{day},\"features\":[1.0,{day}]}}\n"
+            ));
+        }
+        let (fins, lines) = run_script(&cfg, &script);
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains("applied 0 events") && l.contains(&format!("skipped {total}"))),
+            "tail-only catch-up missing: {lines:?}"
+        );
+        let Checkpoint::Online {
+            events_ingested,
+            next_seq,
+            ..
+        } = &fins[0].checkpoint;
+        assert_eq!(*events_ingested, Some(total + 10));
+        assert!(
+            next_seq.unwrap() >= first_seq.unwrap() + 10,
+            "sequence numbers continued"
+        );
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn tcp_json_probes_answer_score_and_stats_but_not_shutdown() {
+        // Bind ourselves to learn a free port, then hand the address over.
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = probe.local_addr().unwrap().to_string();
+        drop(probe);
+        let mut cfg = FleetDaemonConfig::new(vec![TenantConfig::new("solo", predictor(7))]);
+        cfg.listen = Some(addr.clone());
+
+        // A primary input that blocks on a channel, so the daemon stays up
+        // until the test sends shutdown.
+        struct ChanRead(std::sync::mpsc::Receiver<String>, Vec<u8>);
+        impl std::io::Read for ChanRead {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                while self.1.is_empty() {
+                    match self.0.recv() {
+                        Ok(s) => self.1.extend_from_slice(s.as_bytes()),
+                        Err(_) => return Ok(0),
+                    }
+                }
+                let n = buf.len().min(self.1.len());
+                buf[..n].copy_from_slice(&self.1[..n]);
+                self.1.drain(..n);
+                Ok(n)
+            }
+        }
+        let (input_tx, input_rx) = std::sync::mpsc::sync_channel::<String>(16);
+        let daemon = std::thread::spawn(move || {
+            run(
+                &cfg,
+                BufReader::new(ChanRead(input_rx, Vec::new())),
+                Vec::new(),
+            )
+            .is_ok()
+        });
+
+        let mut conn = None;
+        for _ in 0..100 {
+            match std::net::TcpStream::connect(&addr) {
+                Ok(c) => {
+                    conn = Some(c);
+                    break;
+                }
+                Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
+            }
+        }
+        let mut conn = conn.expect("daemon listener came up");
+        writeln!(conn, "{{\"type\":\"score\",\"features\":[0.0,0.0]}}").unwrap();
+        writeln!(conn, "{{\"type\":\"stats\"}}").unwrap();
+        writeln!(conn, "{{\"type\":\"shutdown\"}}").unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        for expect in ["\"type\":\"score\"", "\"type\":\"stats\"", "primary input"] {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(expect), "expected {expect}, got: {line}");
+        }
+        drop(reader);
+
+        input_tx.send("{\"type\":\"shutdown\"}\n".into()).unwrap();
+        assert!(daemon.join().unwrap(), "daemon exited cleanly");
+    }
+
+    #[test]
+    fn shutdown_summary_reports_per_tenant_counters() {
+        let engine = orfpred_serve::Engine::new(&orfpred_serve::ServeConfig::new(predictor(1)));
+        let fins = vec![TenantFinished {
+            tenant: "sta".into(),
+            alarms: Vec::new(),
+            checkpoint: engine.finish().unwrap().checkpoint,
+            counters: crate::engine::TenantCounters {
+                events: 10,
+                alarms: 2,
+                drift_events: 1,
+                model_rebuilds: 1,
+                reshards: 3,
+            },
+        }];
+        let text = shutdown_summary("orfpredd", &fins);
+        assert!(text.starts_with("orfpredd: clean shutdown, 1 tenant(s)\n"));
+        assert!(text.contains("orfpredd: tenant `sta`: 10 events, 2 alarms"));
+        assert!(text.contains("3 reshards"));
     }
 }

@@ -10,10 +10,13 @@
 //!   negotiated per connection alongside the line-JSON protocol, with a
 //!   versioned `Hello` handshake that pins the tenant and its
 //!   domain-schema fingerprint before the first event flows;
-//! * **Connection multiplexing** ([`daemon`]) — the primary input plus a
-//!   TCP listener, each connection sniffed for its wire format and served
-//!   on its own thread, with per-tenant request batching on the binary
-//!   ingest path and backpressure from each tenant's bounded shard queues;
+//! * **The daemon loop** ([`daemon`]) — the only one `orfpredd` and
+//!   `orfpred serve` run, configured by one flag parser ([`spec`]): the
+//!   primary input plus a TCP listener, each connection sniffed for its
+//!   wire format and served on its own thread, with per-tenant request
+//!   batching on the binary ingest path and backpressure from each
+//!   tenant's bounded shard queues. Without `--tenant` the flags build a
+//!   one-tenant fleet;
 //! * **Live re-sharding** ([`FleetEngine::reshard`]) — a tenant's shard
 //!   count changes without restart via a suspend drain-barrier and a
 //!   deterministic re-partition of the restored labelling queues,
@@ -26,9 +29,9 @@ pub mod engine;
 pub mod spec;
 pub mod wire;
 
-pub use daemon::{run, FleetDaemonConfig, BATCH_EVENTS};
+pub use daemon::{run, shutdown_summary, FleetDaemonConfig, BATCH_EVENTS};
 pub use engine::{
     CatchupNote, FleetEngine, FleetError, TenantConfig, TenantCounters, TenantFinished, TenantStats,
 };
-pub use spec::parse_tenant_spec;
+pub use spec::{parse_daemon_args, parse_tenant_spec, DAEMON_USAGE};
 pub use wire::{read_frame, ClientFrame, ServerFrame, WIRE_MAGIC, WIRE_VERSION};

@@ -110,7 +110,7 @@ pub enum Checkpoint {
         /// before the checkpoint. `next_seq` cannot serve this purpose —
         /// it also counts checkpoint/shutdown barriers — and the telemetry
         /// store's catch-up replay needs the exact number of *events* to
-        /// skip (`daemon`'s `catchup_store`). `None` on older files:
+        /// skip (a tenant's `catchup_store`). `None` on older files:
         /// catch-up then replays from the beginning. With a preprocessing
         /// stage enabled this counts *raw* events offered to `ingest`
         /// (before repair/drop/hold), matching what the store replays.

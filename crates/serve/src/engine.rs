@@ -46,7 +46,6 @@ use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::epoch::EpochCell;
 use crate::fault::{FaultInjector, NoFaults};
 use crate::stats::{ServeStats, StatsReport};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use orfpred_core::{
     AdaptiveState, Alarm, OnlineLabeller, OnlinePredictorConfig, OnlineRandomForest, ReleasedSample,
 };
@@ -61,6 +60,7 @@ use parking_lot::Mutex;
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -237,7 +237,7 @@ impl Ord for BySeq {
 /// writer owns everything else the checkpoint needs).
 struct CheckpointRequest {
     path: PathBuf,
-    done: std::sync::mpsc::SyncSender<Result<(), String>>,
+    done: SyncSender<Result<(), String>>,
     /// Raw events offered to `ingest` before the barrier — the store
     /// catch-up cursor (pre-prep, so it matches what the store replays).
     raw_events: u64,
@@ -254,7 +254,7 @@ struct CheckpointRequest {
 /// it must see raw events in arrival order, before sharding.
 struct IngestState {
     next_seq: u64,
-    txs: Option<Vec<Sender<ShardMsg>>>,
+    txs: Option<Vec<SyncSender<ShardMsg>>>,
     /// Raw events offered to `ingest` (pre-prep); the checkpoint cursor.
     raw_events: u64,
     /// Optional repair/hold stage between the raw stream and the shards.
@@ -412,13 +412,13 @@ impl Engine {
 
         // Writer channel: big enough that every in-flight shard event plus
         // one marker per shard fits, which also bounds the reorder buffer.
-        let (wtx, wrx) = bounded::<WriterMsg>(n * cfg.queue_capacity + n);
+        let (wtx, wrx) = sync_channel::<WriterMsg>(n * cfg.queue_capacity + n);
 
         let mut txs = Vec::with_capacity(n);
         let mut shard_handles = Vec::with_capacity(n);
         let mut parts = labeller.split_by(n, |d| shard_of(d, n));
         for (idx, part) in parts.drain(..).enumerate() {
-            let (tx, rx) = bounded::<ShardMsg>(cfg.queue_capacity);
+            let (tx, rx) = sync_channel::<ShardMsg>(cfg.queue_capacity);
             txs.push(tx);
             let wtx = wtx.clone();
             let stats = Arc::clone(&stats);
@@ -619,7 +619,7 @@ impl Engine {
     /// Blocks until the file is durably in place; events ingested after
     /// this call are not included.
     pub fn checkpoint(&self, path: &Path) -> Result<(), String> {
-        let (done_tx, done_rx) = std::sync::mpsc::sync_channel(1);
+        let (done_tx, done_rx) = sync_channel(1);
         {
             // lint: allow(lock_discipline, reason="the checkpoint barrier must take one seq slot across every shard with no ingest interleaved, or shards would snapshot at different stream points; the sends are to bounded queues the shards are actively draining")
             let mut st = self.ingest.lock();
@@ -761,7 +761,7 @@ impl Engine {
 fn shard_loop(
     idx: usize,
     rx: Receiver<ShardMsg>,
-    wtx: Sender<WriterMsg>,
+    wtx: SyncSender<WriterMsg>,
     mut labeller: OnlineLabeller,
     stats: &ServeStats,
     injector: &dyn FaultInjector,

@@ -45,7 +45,8 @@ pub enum CheckpointFault {
     },
 }
 
-/// Injection points threaded through the serving engine and daemon.
+/// Injection points threaded through the serving engine and the daemon
+/// loop.
 ///
 /// All methods default to "no fault", so implementations override only the
 /// points a test exercises. Implementations must be deterministic: the
@@ -81,28 +82,31 @@ pub trait FaultInjector: Send + Sync + std::fmt::Debug {
         CheckpointFault::None
     }
 
-    /// Called by the daemon loop for every primary-input line (0-based
-    /// index, counted before blank-line filtering). Returning `Some`
-    /// replaces the line — the hook tests force malformed bytes at chosen
-    /// stream positions without rebuilding the input.
+    /// Called by the `orfpredd` loop (`orfpred_fleet::run`) for every
+    /// line-JSON primary-input line (0-based index, counted before
+    /// blank-line filtering) when the injector is installed as the
+    /// daemon's. Returning `Some` replaces the line — the hook tests force
+    /// malformed bytes at chosen stream positions without rebuilding the
+    /// input.
     fn mangle_line(&self, _idx: u64, _line: &str) -> Option<String> {
         None
     }
 
-    /// Called by the *multi-tenant* daemon before processing primary-input
-    /// line `idx`. Returning `Some((tenant, n_shards))` live-reshards that
-    /// tenant first (an empty tenant name addresses the fleet's default
-    /// tenant, the single-tenant convention). Lets fault plans exercise the
-    /// reshard drain-barrier at exact stream positions.
+    /// Called by the `orfpredd` loop before processing primary-input line
+    /// `idx`. Returning `Some((tenant, n_shards))` live-reshards that
+    /// tenant first (an empty name addresses the only tenant of a
+    /// one-tenant daemon). Lets fault plans exercise the reshard
+    /// drain-barrier at exact stream positions.
     fn reshard_event(&self, _idx: u64) -> Option<(String, usize)> {
         None
     }
 
-    /// Called by the *multi-tenant* daemon before processing primary-input
-    /// line `idx`. Returning `Some(tenant)` kills that tenant on the spot —
+    /// Called by the `orfpredd` loop before processing primary-input line
+    /// `idx`. Returning `Some(tenant)` kills that tenant on the spot —
     /// engine torn down, undrained state lost, no checkpoint written (an
-    /// empty name addresses the default tenant). Crash-recovery tests
-    /// restart the daemon afterwards and compare against a clean run.
+    /// empty name addresses the only tenant of a one-tenant daemon).
+    /// Crash-recovery tests restart the daemon afterwards and compare
+    /// against a clean run.
     fn kill_tenant(&self, _idx: u64) -> Option<String> {
         None
     }

@@ -23,13 +23,13 @@
 //!   so the saved labelling queues, scaler, forest and stream position
 //!   form one consistent cut; files are written tmp → fsync → rename and
 //!   a restored daemon resumes byte-identically;
-//! * **Protocol** — line-delimited JSON over stdin and an optional TCP
-//!   listener ([`protocol`], [`daemon`]); live counters via [`stats`].
+//! * **Protocol** — the line-delimited JSON requests and replies
+//!   ([`protocol`]) that the `orfpredd` loop in `orfpred-fleet` serves
+//!   over stdin and an optional TCP listener; live counters via [`stats`].
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod daemon;
 pub mod engine;
 pub mod epoch;
 pub mod fault;
@@ -37,7 +37,6 @@ pub mod protocol;
 pub mod stats;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
-pub use daemon::{run, DaemonConfig};
 pub use engine::{shard_of, Engine, Finished, ModelSnapshot, ServeConfig, ServeError};
 pub use epoch::EpochCell;
 pub use fault::{CheckpointFault, FaultInjector, NoFaults};

@@ -133,8 +133,7 @@ pub enum Request {
         /// Target file, if overriding the daemon default.
         path: Option<String>,
     },
-    /// Change the tenant's shard count without a restart (multi-tenant
-    /// daemon only; the single-tenant daemon refuses it).
+    /// Change the tenant's shard count without a restart.
     Reshard {
         /// New shard count (≥ 1).
         n_shards: usize,
@@ -193,7 +192,7 @@ impl Request {
     }
 
     /// Parse one protocol line, also extracting the optional `tenant`
-    /// routing field used by the multi-tenant daemon. Field values borrow
+    /// routing field the `orfpredd` loop routes by. Field values borrow
     /// from `line` during parsing — the hot ingest path allocates only the
     /// `features` vector (and the tenant name when present).
     pub fn parse_with_tenant(line: &str) -> Result<(Option<String>, Self), ProtocolError> {

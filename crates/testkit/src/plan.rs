@@ -37,11 +37,11 @@ pub struct FaultPlan {
     ckpt_faults: Mutex<HashMap<PathBuf, CheckpointFault>>,
     /// Pending input-line replacements, keyed by 0-based line index.
     mangles: Mutex<HashMap<u64, String>>,
-    /// Pending live reshards (multi-tenant daemon), keyed by 0-based
+    /// Pending live reshards (daemon loop), keyed by 0-based
     /// primary-input line index: (tenant name, new shard count). An empty
     /// tenant name addresses the fleet's default tenant.
     reshards: Mutex<HashMap<u64, (String, usize)>>,
-    /// Pending tenant kills (multi-tenant daemon), keyed by 0-based
+    /// Pending tenant kills (daemon loop), keyed by 0-based
     /// primary-input line index.
     tenant_kills: Mutex<HashMap<u64, String>>,
     /// Pending telemetry-store segment faults, keyed by segment index.
@@ -81,7 +81,7 @@ impl FaultPlan {
     }
 
     /// Live-reshard `tenant` to `n_shards` shards just before the
-    /// multi-tenant daemon processes primary-input line `idx` (0-based).
+    /// daemon loop processes primary-input line `idx` (0-based).
     /// An empty tenant name addresses the fleet's default tenant.
     pub fn reshard_at(&self, idx: u64, tenant: &str, n_shards: usize) {
         assert!(n_shards > 0, "a zero shard count can never apply");
@@ -91,7 +91,7 @@ impl FaultPlan {
     }
 
     /// Kill `tenant` (engine torn down, undrained state lost, no checkpoint
-    /// written) just before the multi-tenant daemon processes primary-input
+    /// written) just before the daemon loop processes primary-input
     /// line `idx` (0-based). An empty name addresses the default tenant.
     pub fn kill_tenant_at(&self, idx: u64, tenant: &str) {
         self.tenant_kills.lock().insert(idx, tenant.to_string());

@@ -1,14 +1,16 @@
 //! Drive the sharded serving engine two ways: through the line-delimited
-//! JSON protocol (exactly what `orfpredd` speaks on stdin/stdout) and
-//! through the in-process [`Engine`] API, showing checkpoint/restore and
-//! the live counters along the way.
+//! JSON protocol (the `orfpredd` loop, run in-process with one tenant, as
+//! the daemon does without `--tenant`) and through the in-process
+//! [`Engine`] API, showing checkpoint/restore and the live counters along
+//! the way.
 //!
 //! ```sh
 //! cargo run --release --example serve_stream
 //! ```
 
 use orfpred::core::OnlinePredictorConfig;
-use orfpred::serve::{daemon, Checkpoint, DaemonConfig, Engine, Request, ServeConfig};
+use orfpred::fleet::{run, FleetDaemonConfig, TenantConfig};
+use orfpred::serve::{Checkpoint, Engine, Request, ServeConfig};
 use orfpred::smart::attrs::table2_feature_columns;
 use orfpred::smart::gen::{FleetConfig, FleetEvent, FleetSim, ScalePreset};
 use std::io::Cursor;
@@ -59,15 +61,16 @@ fn main() {
     script.push_str(&Request::Shutdown.to_line());
     script.push('\n');
 
-    let cfg = DaemonConfig {
+    let cfg = FleetDaemonConfig::new(vec![TenantConfig {
+        name: "default".into(),
         serve: serve_cfg(4),
-        listen: None,
         checkpoint_path: None,
         catchup_store: None,
-    };
+    }]);
     let mut transcript = Vec::new();
-    let finished =
-        daemon::run(&cfg, Cursor::new(script), &mut transcript).expect("daemon run succeeds");
+    let finished = run(&cfg, Cursor::new(script), &mut transcript)
+        .expect("daemon run succeeds")
+        .remove(0);
     let transcript = String::from_utf8(transcript).unwrap();
     let alarm_lines = transcript
         .lines()

@@ -74,8 +74,9 @@ cargo test -q --test store_roundtrip
 echo "== batch kernel equivalence suite =="
 cargo test -q --test batch_equiv --test frozen_equiv
 
-echo "== fleet: multi-tenant serving equivalence suite =="
+echo "== fleet: the daemon loop, its front-ends and serving equivalence =="
 cargo test -q -p orfpred-fleet
+cargo test -q -p orfpred-serve -p orfpred-cli
 cargo test -q --test fleet_equiv
 
 echo "ci: all green"

@@ -4,8 +4,12 @@
 //! / `Injected`) or a provably consistent prefix — never a panic, never
 //! silently truncated data.
 
-use orfpred::smart::gen::{FleetConfig, ScalePreset};
-use orfpred::store::{record_fleet, Segment, SegmentFault, Store, StoreConfig, StoreError};
+use orfpred::fleet::{parse_daemon_args, run};
+use orfpred::smart::gen::{FleetConfig, FleetSim, ScalePreset};
+use orfpred::smart::DomainSchema;
+use orfpred::store::{
+    record_fleet, Segment, SegmentFault, Store, StoreConfig, StoreError, StoreWriter,
+};
 use orfpred_testkit::FaultPlan;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -187,4 +191,42 @@ fn failures_in_prefix(store: &Store) -> u64 {
         .map(|e| e.unwrap())
         .filter(|e| matches!(e, orfpred::smart::gen::FleetEvent::Failure { .. }))
         .count() as u64
+}
+
+#[test]
+fn a_flag_built_daemon_refuses_a_store_of_another_schema() {
+    // `orfpredd --store DIR` without `--tenant`: catch-up must check the
+    // store's domain schema before replaying a row. An mce store behind the
+    // SMART `default` tenant is the store's typed schema error at startup,
+    // never a silent width pun.
+    let dir = workdir("schema_mismatch");
+    let ds = FleetSim::collect(&fleet(7));
+    let mce = DomainSchema::mce();
+    let store_cfg = StoreConfig {
+        schema: mce.clone(),
+        ..StoreConfig::default()
+    };
+    let mut w = StoreWriter::create(&dir, "MCE-NODE", ds.duration_days, &ds.disks, store_cfg)
+        .expect("mce store created");
+    let mut rec = ds.records[0].clone();
+    rec.features = vec![1.0; mce.n_base_features()];
+    w.append(&rec).expect("mce-width row accepted");
+    w.finish().expect("store sealed");
+
+    let argv = ["--store".to_string(), dir.to_string_lossy().into_owned()];
+    let cfg = parse_daemon_args(argv).expect("flags parse");
+    let mut out = Vec::new();
+    let err = run(
+        &cfg,
+        std::io::Cursor::new("{\"type\":\"shutdown\"}\n"),
+        &mut out,
+    )
+    .err()
+    .expect("the daemon refuses to start");
+    assert!(
+        err.contains("store was recorded under schema `mce`"),
+        "got: {err}"
+    );
+    assert!(out.is_empty(), "nothing was served before the refusal");
+    std::fs::remove_dir_all(&dir).ok();
 }

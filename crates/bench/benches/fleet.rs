@@ -11,6 +11,7 @@
 //! formats ride the same transport (one TCP connection per tenant,
 //! drained to EOF before the next opens) against the same 8-tenant
 //! daemon, so the only variable is the wire format.
+//! The end-to-end benchmark of the live `orfpredd` is `orfbench/` (see its README).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use orfpred_core::OnlinePredictorConfig;

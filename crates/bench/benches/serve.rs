@@ -1,6 +1,7 @@
 //! Serving-engine benchmarks: end-to-end ingest throughput of the sharded
 //! engine at 1, 2 and 4 shards (same event stream, same model — the shard
 //! count is a pure deployment knob), plus the lock-free scoring fast path.
+//! The end-to-end benchmark of the live `orfpredd` is `orfbench/` (see its README).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use orfpred_core::OnlinePredictorConfig;

@@ -181,18 +181,22 @@ impl OnlineRandomForest {
     /// while the forest is young.
     pub fn score(&self, x: &[f32]) -> f32 {
         debug_assert_eq!(x.len(), self.n_features);
-        let mature: Vec<&TreeSlot> = self
-            .slots
-            .iter()
-            .filter(|s| s.age >= self.cfg.warmup_age)
-            .collect();
-        let pool: &[&TreeSlot] = if mature.is_empty() {
-            &self.slots.iter().collect::<Vec<_>>()[..]
+        let warmup = self.cfg.warmup_age;
+        let n_mature = self.slots.iter().filter(|s| s.age >= warmup).count();
+        // Sum in slot order either way, so scores stay bit-identical.
+        let (n, sum) = if n_mature == 0 {
+            let sum: f32 = self.slots.iter().map(|s| s.tree.score(x)).sum();
+            (self.slots.len(), sum)
         } else {
-            &mature[..]
+            let sum: f32 = self
+                .slots
+                .iter()
+                .filter(|s| s.age >= warmup)
+                .map(|s| s.tree.score(x))
+                .sum();
+            (n_mature, sum)
         };
-        let sum: f32 = pool.iter().map(|s| s.tree.score(x)).sum();
-        sum / pool.len() as f32
+        sum / n as f32
     }
 
     /// Score many rows in parallel.

@@ -15,8 +15,10 @@
 //!
 //! Binary ingest is batched: consecutive `Sample`/`Failure` frames are
 //! decoded into a local buffer and pushed under **one** tenant-lock
-//! acquisition per [`BATCH_EVENTS`] events, which is where the ≥2×
-//! JSON-ingest speedup comes from. Backpressure is unchanged from the
+//! acquisition and one `Engine::ingest_batch` call per [`BATCH_EVENTS`]
+//! events, which is where the ≥2× JSON-ingest speedup comes from. A
+//! partial batch is pushed as soon as no complete frame is left in the
+//! session's read buffer, so a slow client never waits on a full batch. Backpressure is unchanged from the
 //! single-tenant engine: each tenant's bounded shard queues block the
 //! ingesting session when the pipeline falls behind — one firehose tenant
 //! stalls its own sessions, not the fleet.
@@ -28,7 +30,7 @@
 //! lifetime counters — are returned to the caller.
 
 use crate::engine::{FleetEngine, TenantConfig, TenantFinished};
-use crate::wire::{read_frame, ClientFrame, ServerFrame, WIRE_MAGIC, WIRE_VERSION};
+use crate::wire::{frame_buffered, read_frame, ClientFrame, ServerFrame, WIRE_MAGIC, WIRE_VERSION};
 use orfpred_core::Alarm;
 use orfpred_serve::{pad_features, FaultInjector, NoFaults, ProtocolError, Request, Response};
 use orfpred_smart::gen::FleetEvent;
@@ -42,6 +44,11 @@ use std::sync::Arc;
 /// How many binary event frames are decoded before the batch is pushed
 /// into the tenant's engine under a single lock acquisition.
 pub const BATCH_EVENTS: usize = 512;
+
+/// Read buffer of a binary session: one full batch of SMART `Sample`
+/// frames (5-byte header, 8 bytes of ids, 48 × f32 = 205 bytes each), so
+/// under load a whole batch is decoded from one refill.
+const SESSION_BUF_BYTES: usize = BATCH_EVENTS * 205;
 
 /// Fleet daemon configuration.
 #[derive(Clone, Debug)]
@@ -235,6 +242,10 @@ fn serve_binary(
     writer: &mut impl Write,
     allow_shutdown: bool,
 ) -> Result<bool, String> {
+    // The session's own buffer: large enough for a full batch, and it
+    // shows what is already read without blocking (the trickle rule below).
+    // Reads through it bypass the smaller buffer of `reader` once empty.
+    let reader = &mut BufReader::with_capacity(SESSION_BUF_BYTES, reader);
     let mut out = Vec::new();
     let send_error = |writer: &mut dyn Write, message: String| -> Result<(), String> {
         let mut buf = Vec::new();
@@ -344,23 +355,19 @@ fn serve_binary(
                 Ok(ClientFrame::Sample {
                     disk_id,
                     day,
-                    features,
+                    mut features,
                 }) => {
+                    // Pad (or truncate) in place, like `pad_features`.
+                    features.resize(n_base, 0.0);
                     batch.push(FleetEvent::Sample(DiskDay {
                         disk_id,
                         day,
-                        features: pad_features(&features, n_base),
+                        features,
                     }));
-                    if batch.len() < BATCH_EVENTS {
-                        continue;
-                    }
                     None
                 }
                 Ok(ClientFrame::Failure { disk_id, day }) => {
                     batch.push(FleetEvent::Failure { disk_id, day });
-                    if batch.len() < BATCH_EVENTS {
-                        continue;
-                    }
                     None
                 }
                 Ok(other) => Some(other),
@@ -371,22 +378,31 @@ fn serve_binary(
             },
             None => None, // EOF: flush what's batched, then leave
         };
+        // Keep decoding while the batch has room and the next frame is
+        // already buffered. Before a read that may block, the batch goes
+        // to the engine (the trickle rule), so a client that pauses still
+        // has everything it sent applied.
+        if control.is_none() && batch.len() < BATCH_EVENTS && frame_buffered(reader.buffer()) {
+            continue;
+        }
 
         if !batch.is_empty() {
-            let events = std::mem::take(&mut batch);
-            batch = Vec::with_capacity(BATCH_EVENTS);
-            if let Err(e) = fleet.ingest_batch(Some(&tenant), events) {
+            if let Err(e) = fleet.ingest_batch(Some(&tenant), batch.drain(..)) {
                 ServerFrame::Error {
                     message: e.to_string(),
                 }
                 .encode(&mut out);
+            } else if control.is_none() && reader.buffer().is_empty() {
+                // Nothing more is read yet: wait for the writer so the
+                // alarms of everything sent so far go out before the read.
+                let _ = fleet.flush(Some(&tenant));
             }
         }
 
         let mut done = false;
         match control {
             None if at_eof => done = true, // EOF
-            None => {}                     // batch-size flush only
+            None => {}                     // batch flush only
             Some(req) => match req {
                 ClientFrame::Hello { .. } => {
                     ServerFrame::Error {
@@ -1020,32 +1036,51 @@ mod tests {
         std::fs::remove_dir_all(&base).ok();
     }
 
-    #[test]
-    fn tcp_json_probes_answer_score_and_stats_but_not_shutdown() {
-        // Bind ourselves to learn a free port, then hand the address over.
-        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = probe.local_addr().unwrap().to_string();
-        drop(probe);
-        let mut cfg = FleetDaemonConfig::new(vec![TenantConfig::new("solo", predictor(7))]);
-        cfg.listen = Some(addr.clone());
+    /// A primary input that blocks on a channel, so the daemon stays up
+    /// until the test sends shutdown.
+    struct ChanRead(std::sync::mpsc::Receiver<String>, Vec<u8>);
 
-        // A primary input that blocks on a channel, so the daemon stays up
-        // until the test sends shutdown.
-        struct ChanRead(std::sync::mpsc::Receiver<String>, Vec<u8>);
-        impl std::io::Read for ChanRead {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                while self.1.is_empty() {
-                    match self.0.recv() {
-                        Ok(s) => self.1.extend_from_slice(s.as_bytes()),
-                        Err(_) => return Ok(0),
-                    }
+    impl std::io::Read for ChanRead {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            while self.1.is_empty() {
+                match self.0.recv() {
+                    Ok(s) => self.1.extend_from_slice(s.as_bytes()),
+                    Err(_) => return Ok(0),
                 }
-                let n = buf.len().min(self.1.len());
-                buf[..n].copy_from_slice(&self.1[..n]);
-                self.1.drain(..n);
-                Ok(n)
+            }
+            let n = buf.len().min(self.1.len());
+            buf[..n].copy_from_slice(&self.1[..n]);
+            self.1.drain(..n);
+            Ok(n)
+        }
+    }
+
+    /// A loopback address with a free port: bind to learn one, then hand
+    /// the address over.
+    fn free_addr() -> String {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().to_string()
+    }
+
+    /// Connect once the daemon's listener is up.
+    fn connect(addr: &str) -> std::net::TcpStream {
+        for _ in 0..100 {
+            match std::net::TcpStream::connect(addr) {
+                Ok(c) => return c,
+                Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
             }
         }
+        panic!("daemon listener did not come up at {addr}");
+    }
+
+    #[test]
+    fn a_binary_trickle_is_applied_and_alarmed_while_the_session_stays_open() {
+        let addr = free_addr();
+        let mut p = predictor(7);
+        p.alarm_threshold = 0.0; // every scored sample alarms
+        let mut cfg = FleetDaemonConfig::new(vec![TenantConfig::new("solo", p)]);
+        cfg.listen = Some(addr.clone());
+        let fingerprint = cfg.tenants[0].serve.predictor.domain_schema().fingerprint();
         let (input_tx, input_rx) = std::sync::mpsc::sync_channel::<String>(16);
         let daemon = std::thread::spawn(move || {
             run(
@@ -1056,17 +1091,73 @@ mod tests {
             .is_ok()
         });
 
-        let mut conn = None;
-        for _ in 0..100 {
-            match std::net::TcpStream::connect(&addr) {
-                Ok(c) => {
-                    conn = Some(c);
-                    break;
-                }
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(10)),
+        // Hello plus three samples, far short of a batch; the client then
+        // waits with its connection open.
+        let mut conn = connect(&addr);
+        let mut bytes = WIRE_MAGIC.to_vec();
+        ClientFrame::Hello {
+            version: WIRE_VERSION,
+            fingerprint,
+            tenant: "solo".into(),
+        }
+        .encode(&mut bytes);
+        for day in 0..3u16 {
+            ClientFrame::Sample {
+                disk_id: 1,
+                day,
+                features: vec![f32::from(day), 1.0],
+            }
+            .encode(&mut bytes);
+        }
+        conn.write_all(&bytes).unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let mut replies = BufReader::new(conn.try_clone().unwrap());
+        let (op, payload) = read_frame(&mut replies).unwrap().unwrap();
+        assert!(matches!(
+            ServerFrame::decode(op, &payload).unwrap(),
+            ServerFrame::HelloAck { .. }
+        ));
+        let mut alarm_days = Vec::new();
+        while alarm_days.len() < 3 {
+            let (op, payload) = read_frame(&mut replies)
+                .expect("alarms arrive while the session is open")
+                .unwrap();
+            match ServerFrame::decode(op, &payload).unwrap() {
+                ServerFrame::Alarm { day, .. } => alarm_days.push(day),
+                other => panic!("unexpected frame: {other:?}"),
             }
         }
-        let mut conn = conn.expect("daemon listener came up");
+        assert_eq!(alarm_days, [0, 1, 2]);
+
+        let mut probe = connect(&addr);
+        writeln!(probe, "{{\"type\":\"stats\"}}").unwrap();
+        let mut line = String::new();
+        BufReader::new(probe).read_line(&mut line).unwrap();
+        assert!(line.contains("\"events\":3"), "got: {line}");
+
+        drop((replies, conn));
+        input_tx.send("{\"type\":\"shutdown\"}\n".into()).unwrap();
+        assert!(daemon.join().unwrap(), "daemon exited cleanly");
+    }
+
+    #[test]
+    fn tcp_json_probes_answer_score_and_stats_but_not_shutdown() {
+        let addr = free_addr();
+        let mut cfg = FleetDaemonConfig::new(vec![TenantConfig::new("solo", predictor(7))]);
+        cfg.listen = Some(addr.clone());
+
+        let (input_tx, input_rx) = std::sync::mpsc::sync_channel::<String>(16);
+        let daemon = std::thread::spawn(move || {
+            run(
+                &cfg,
+                BufReader::new(ChanRead(input_rx, Vec::new())),
+                Vec::new(),
+            )
+            .is_ok()
+        });
+
+        let mut conn = connect(&addr);
         writeln!(conn, "{{\"type\":\"score\",\"features\":[0.0,0.0]}}").unwrap();
         writeln!(conn, "{{\"type\":\"stats\"}}").unwrap();
         writeln!(conn, "{{\"type\":\"shutdown\"}}").unwrap();

@@ -26,6 +26,7 @@
 //! `checkpoint` barrier — so a reference run that checkpoints where the
 //! fleet run resharded produces a byte-identical final checkpoint.
 
+use crate::daemon::BATCH_EVENTS;
 use orfpred_core::{Alarm, OnlinePredictorConfig};
 use orfpred_serve::{Checkpoint, Engine, ServeConfig, ServeError, StatsReport};
 use parking_lot::Mutex;
@@ -316,11 +317,22 @@ impl FleetEngine {
         Ok((slot.fingerprint, slot.n_base_features, slot.n_features))
     }
 
-    /// Feed one raw event into a tenant's stream.
+    /// Feed one raw event into a tenant's stream: a batch of one.
     pub fn ingest(
         &self,
         tenant: Option<&str>,
         event: orfpred_smart::gen::FleetEvent,
+    ) -> Result<(), FleetError> {
+        self.ingest_batch(tenant, std::iter::once(event))
+    }
+
+    /// Feed a batch of raw events under one tenant lock acquisition (the
+    /// binary protocol's ingest path): one [`Engine::ingest_batch`] call,
+    /// so the whole batch reaches each shard as one message.
+    pub fn ingest_batch(
+        &self,
+        tenant: Option<&str>,
+        events: impl IntoIterator<Item = orfpred_smart::gen::FleetEvent>,
     ) -> Result<(), FleetError> {
         let slot = self.slot(tenant)?;
         let st = slot.state.lock();
@@ -328,28 +340,7 @@ impl FleetEngine {
             .engine
             .as_ref()
             .ok_or_else(|| FleetError::Stopped(slot.name.clone()))?;
-        engine.ingest(event).map_err(FleetError::Engine)
-    }
-
-    /// Feed a batch of raw events under one tenant lock acquisition (the
-    /// binary protocol's ingest path). Returns how many were accepted.
-    pub fn ingest_batch(
-        &self,
-        tenant: Option<&str>,
-        events: Vec<orfpred_smart::gen::FleetEvent>,
-    ) -> Result<usize, FleetError> {
-        let slot = self.slot(tenant)?;
-        let st = slot.state.lock();
-        let engine = st
-            .engine
-            .as_ref()
-            .ok_or_else(|| FleetError::Stopped(slot.name.clone()))?;
-        let mut accepted = 0;
-        for ev in events {
-            engine.ingest(ev).map_err(FleetError::Engine)?;
-            accepted += 1;
-        }
-        Ok(accepted)
+        engine.ingest_batch(events).map_err(FleetError::Engine)
     }
 
     /// Score a full-width feature row against a tenant's latest snapshot.
@@ -523,19 +514,24 @@ impl FleetEngine {
 
 /// Replay a tenant's store tail: verify the store's schema matches the
 /// tenant's domain (a silent layout mismatch would misalign every feature
-/// column), skip the first `skip` events, ingest the rest.
+/// column), skip the first `skip` events, ingest the rest in batches of
+/// [`BATCH_EVENTS`].
 fn catch_up(tenant: &str, engine: &Engine, dir: &Path, skip: u64) -> Result<u64, String> {
     let store = orfpred_store::Store::open(dir).map_err(|e| format!("tenant `{tenant}`: {e}"))?;
     store
         .verify_domain(engine.schema())
         .map_err(|e| format!("tenant `{tenant}`: {e}"))?;
     let mut applied = 0u64;
-    for ev in store.events_from(skip) {
-        let ev = ev.map_err(|e| format!("tenant `{tenant}`: {e}"))?;
+    let mut batch = Vec::with_capacity(BATCH_EVENTS);
+    let mut events = store.events_from(skip).peekable();
+    while events.peek().is_some() {
+        for ev in events.by_ref().take(BATCH_EVENTS) {
+            batch.push(ev.map_err(|e| format!("tenant `{tenant}`: {e}"))?);
+        }
+        applied += batch.len() as u64;
         engine
-            .ingest(ev)
+            .ingest_batch(batch.drain(..))
             .map_err(|e| format!("tenant `{tenant}` catch-up: {e}"))?;
-        applied += 1;
     }
     engine.flush();
     Ok(applied)

@@ -469,9 +469,31 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, ProtocolE
     Ok(Some((opcode[0], payload)))
 }
 
+/// Whether `buf` starts with a whole frame, header and payload, so
+/// [`read_frame`] over it would not have to wait for more input.
+pub(crate) fn frame_buffered(buf: &[u8]) -> bool {
+    match buf.get(1..5) {
+        Some(&[a, b, c, d]) => buf.len() - 5 >= u32::from_le_bytes([a, b, c, d]) as usize,
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frame_buffered_needs_the_whole_payload() {
+        let mut buf = Vec::new();
+        ClientFrame::Failure { disk_id: 7, day: 3 }.encode(&mut buf);
+        assert!(frame_buffered(&buf));
+        for cut in 0..buf.len() {
+            assert!(!frame_buffered(&buf[..cut]), "{cut} of {} bytes", buf.len());
+        }
+        ClientFrame::Stats.encode(&mut buf);
+        assert!(frame_buffered(&buf), "a second frame behind the first");
+        assert!(frame_buffered(&[OP_STATS, 0, 0, 0, 0]), "empty payload");
+    }
 
     fn round_trip_client(frame: ClientFrame) {
         let mut buf = Vec::new();

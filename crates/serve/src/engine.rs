@@ -2,12 +2,12 @@
 //!
 //! ```text
 //!                      ┌────────── shard 0 (labeller part) ──────┐
-//!  ingest ── seq ──┬──▶│ queue │ Algorithm 2 labelling           │──┐
+//!  ingest_batch ───┬──▶│ queue │ Algorithm 2 labelling           │──┐
 //!  (stamps global  │   └─────────────────────────────────────────┘  │   ┌─────────────┐
-//!   sequence nums) │   ┌────────── shard 1 ──────────────────────┐  ├──▶│ model writer│──▶ alarms
-//!                  ├──▶│   ...                                   │──┤   │ (reorders by│──▶ checkpoints
-//!                  │   └─────────────────────────────────────────┘  │   │  seq; owns  │──▶ snapshot ─▶ score/stats
-//!                  └──▶ ...                                         │   │  ORF+scaler)│
+//!   sequence nums, │   ┌────────── shard 1 ──────────────────────┐  ├──▶│ model writer│──▶ alarms
+//!   fills one      ├──▶│   ...                                   │──┤   │ (reorders by│──▶ checkpoints
+//!   outbox per     │   └─────────────────────────────────────────┘  │   │  seq; owns  │──▶ snapshot ─▶ score/stats
+//!   shard)         └──▶ ...                                         │   │  ORF+scaler)│
 //!                                                                   └──▶└─────────────┘
 //! ```
 //!
@@ -16,6 +16,17 @@
 //! turns raw events into labelled training samples. Labelled events flow
 //! over bounded channels into the single **model writer**, which owns the
 //! ORF and the streaming scaler.
+//!
+//! # Batched hand-offs
+//!
+//! [`Engine::ingest_batch`] is the only way in ([`Engine::ingest`] is a
+//! batch of one). One call takes the ingest lock once, stamps every event,
+//! and sends each shard its events as one message; the shard forwards one
+//! vector of labelled events to the writer. A batch of `B` events over `N`
+//! shards thus costs about `2N` channel sends instead of `2B`.
+//! `queue_capacity` still counts events: a send first takes room for its
+//! events in the shard, so a shard never holds more than that many,
+//! whether they came one per message or a batch per message.
 //!
 //! # Determinism
 //!
@@ -61,7 +72,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -81,8 +92,8 @@ pub struct ServeConfig {
     /// Number of labelling shards (threads). Alarms are identical for any
     /// value; more shards increase ingest throughput.
     pub n_shards: usize,
-    /// Bounded capacity of each shard's input queue; a full queue blocks
-    /// `ingest` (backpressure).
+    /// Bounded capacity of each shard's input queue, in events; a full
+    /// queue blocks `ingest_batch` (backpressure).
     pub queue_capacity: usize,
     /// Publish a fresh scoring snapshot every this many applied samples.
     pub snapshot_every: u64,
@@ -173,22 +184,23 @@ pub struct Finished {
     pub checkpoint: Checkpoint,
 }
 
-/// Ingest-side message to a shard. The event is boxed so barrier messages
-/// don't pay for the 48-feature sample payload in the channel.
+/// Ingest-side message to a shard.
 enum ShardMsg {
-    /// One stream event, stamped with its global sequence number.
-    Event(u64, Box<FleetEvent>),
+    /// A run of stream events routed to this shard, each stamped with its
+    /// global sequence number (ascending, at most the queue capacity).
+    Events(Vec<(u64, FleetEvent)>),
     /// Checkpoint barrier: forward a labeller snapshot to the writer.
     Checkpoint(u64),
     /// Final barrier: hand the labeller to the writer and exit.
     Shutdown(u64),
 }
 
-/// Shard-side message to the model writer.
+/// Shard-side message to the model writer. Shards forward them in
+/// vectors, one per [`ShardMsg`] they handle.
 enum WriterMsg {
     Sample {
         seq: u64,
-        rec: Box<DiskDay>,
+        rec: DiskDay,
         released: Option<ReleasedSample>,
     },
     Failure {
@@ -267,6 +279,206 @@ struct IngestState {
     window: Option<WindowStage>,
     /// Reusable scratch buffer for prep output (0..n events per raw one).
     prep_buf: Vec<FleetEvent>,
+    /// Per-shard outboxes of stamped events. A batch fills them and sends
+    /// each as one message; they are empty whenever the lock is free.
+    outboxes: Vec<Vec<(u64, FleetEvent)>>,
+    /// Per-shard event credit: a send first takes room for its events.
+    rooms: Vec<Arc<ShardRoom>>,
+    /// The most events a shard holds (`ServeConfig::queue_capacity`), and
+    /// so the most one message carries.
+    capacity: usize,
+}
+
+impl IngestState {
+    /// Feed raw events through prep and the window stage, stamp each
+    /// resulting event with the next sequence number, and send the
+    /// outboxes. Counters are updated once per call. Callers hold the
+    /// ingest lock.
+    fn ingest_raw(
+        &mut self,
+        events: impl IntoIterator<Item = FleetEvent>,
+        stats: &ServeStats,
+    ) -> Result<(), ServeError> {
+        if self.txs.is_none() {
+            return Err(ServeError::ShuttingDown);
+        }
+        let (mut samples, mut failures) = (0u64, 0u64);
+        let mut buf = std::mem::take(&mut self.prep_buf);
+        let mut result = Ok(());
+        for event in events {
+            // Raw-side accounting happens even when prep swallows the
+            // event: the checkpoint cursor must match what the telemetry
+            // store holds.
+            match &event {
+                FleetEvent::Sample(_) => samples += 1,
+                FleetEvent::Failure { .. } => failures += 1,
+            }
+            self.raw_events += 1;
+            result = match self.prep.as_mut() {
+                Some(prep) => {
+                    buf.clear();
+                    prep.observe(&event, &mut buf);
+                    buf.drain(..).try_for_each(|ev| self.stamp(ev, stats))
+                }
+                None => self.stamp(event, stats),
+            };
+            if result.is_err() {
+                break;
+            }
+        }
+        self.prep_buf = buf;
+        result = result.and_then(|()| self.send_outboxes(stats));
+        if result.is_err() {
+            self.outboxes.iter_mut().for_each(Vec::clear);
+        }
+        stats.samples_ingested.fetch_add(samples, Ordering::Relaxed);
+        stats
+            .failures_ingested
+            .fetch_add(failures, Ordering::Relaxed);
+        stats.events_issued.store(self.next_seq, Ordering::Relaxed);
+        result
+    }
+
+    /// Run the window stage on one prepped event, stamp it with the next
+    /// global sequence number and append it to its shard's outbox; an
+    /// outbox that reaches the queue capacity goes out at once.
+    fn stamp(&mut self, mut event: FleetEvent, stats: &ServeStats) -> Result<(), ServeError> {
+        // The window stage runs after prep and before sharding: rows grow
+        // to full width here, so labeller queues and the writer only ever
+        // see extended rows (mirroring the serial predictor's hook point
+        // in `observe_sample_scored`).
+        if let Some(w) = self.window.as_mut() {
+            match &mut event {
+                FleetEvent::Sample(rec) => w.extend(rec.disk_id, &mut rec.features),
+                FleetEvent::Failure { disk_id, .. } => w.forget(*disk_id),
+            }
+        }
+        let disk_id = match &event {
+            FleetEvent::Sample(rec) => rec.disk_id,
+            FleetEvent::Failure { disk_id, .. } => *disk_id,
+        };
+        let shard = shard_of(disk_id, self.outboxes.len());
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // lint: allow(panic_path, reason="shard < n_shards: shard_of reduces mod outboxes.len()")
+        let outbox = &mut self.outboxes[shard];
+        outbox.push((seq, event));
+        if outbox.len() >= self.capacity {
+            self.send_outbox(shard, stats)?;
+        }
+        Ok(())
+    }
+
+    /// Send every non-empty outbox to its shard, in shard order.
+    fn send_outboxes(&mut self, stats: &ServeStats) -> Result<(), ServeError> {
+        for shard in 0..self.outboxes.len() {
+            self.send_outbox(shard, stats)?;
+        }
+        Ok(())
+    }
+
+    /// Send one shard's outbox as a single message. Blocks while the
+    /// shard has no room for it (backpressure).
+    fn send_outbox(&mut self, shard: usize, stats: &ServeStats) -> Result<(), ServeError> {
+        // lint: allow(panic_path, reason="callers pass shard < n_shards == outboxes.len()")
+        let events = std::mem::take(&mut self.outboxes[shard]);
+        if events.is_empty() {
+            return Ok(());
+        }
+        let txs = self.txs.as_ref().ok_or(ServeError::ShuttingDown)?;
+        // lint: allow(panic_path, reason="shard < n_shards; rooms has one entry per shard")
+        if !self.rooms[shard].take(events.len()) {
+            return Err(ServeError::ShuttingDown); // the shard has exited
+        }
+        let n = events.len() as u64;
+        // lint: allow(panic_path, reason="shard < n_shards; stats has one depth counter per shard")
+        let depth = &stats.shard_depths[shard];
+        depth.fetch_add(n, Ordering::Relaxed);
+        // lint: allow(panic_path, reason="shard < n_shards; txs has one sender per shard")
+        if txs[shard].send(ShardMsg::Events(events)).is_err() {
+            depth.fetch_sub(n, Ordering::Relaxed);
+            return Err(ServeError::ShuttingDown);
+        }
+        Ok(())
+    }
+}
+
+/// The events one shard has in flight — queued, being labelled, held back,
+/// or on their way to the writer: ingest takes room for a message before
+/// sending it and waits while there is none, and the writer gives the room
+/// back as it receives the shard's labelled events. So a shard never has
+/// more than the queue capacity in flight, whether its messages carry one
+/// event or a whole batch.
+struct ShardRoom {
+    capacity: usize,
+    credit: std::sync::Mutex<RoomState>,
+    freed: std::sync::Condvar,
+}
+
+#[derive(Default)]
+struct RoomState {
+    held: usize,
+    /// Room a waiting ingest needs; 0 when none waits.
+    want: usize,
+    /// The shard thread has exited; no room will ever be given back.
+    closed: bool,
+}
+
+impl ShardRoom {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            credit: std::sync::Mutex::default(),
+            freed: std::sync::Condvar::new(),
+        }
+    }
+
+    fn counts(&self) -> std::sync::MutexGuard<'_, RoomState> {
+        // The guarded section is plain arithmetic, so a poisoned lock still
+        // holds consistent counts.
+        self.credit.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take room for `n ≤ capacity` events, waiting while the shard holds
+    /// more than `capacity - n`. False when the shard has exited.
+    fn take(&self, n: usize) -> bool {
+        let mut st = self.counts();
+        while !st.closed && st.held + n > self.capacity {
+            st.want = n;
+            st = self.freed.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.held += n;
+        !st.closed
+    }
+
+    /// Give back the room of `n` events the writer has received. A waiting
+    /// ingest is woken once half the capacity is free (or its message
+    /// fits, if larger), so a full pipeline costs one wake-up per half
+    /// queue rather than one per event.
+    fn give(&self, n: usize) {
+        let mut st = self.counts();
+        st.held -= n;
+        if st.want > 0 && st.held + st.want.max(self.capacity / 2) <= self.capacity {
+            st.want = 0;
+            self.freed.notify_one();
+        }
+    }
+
+    /// Mark the shard gone and wake a waiting ingest.
+    fn close(&self) {
+        self.counts().closed = true;
+        self.freed.notify_one();
+    }
+}
+
+/// Closes its shard's room when the shard thread exits, by return or by
+/// panic, so an ingest waiting for room fails instead of hanging.
+struct CloseOnExit(Arc<ShardRoom>);
+
+impl Drop for CloseOnExit {
+    fn drop(&mut self) {
+        self.0.close();
+    }
 }
 
 /// The sharded serving engine. All methods take `&self`; the engine is
@@ -411,8 +623,12 @@ impl Engine {
             Arc::new(Mutex::new(VecDeque::new()));
 
         // Writer channel: big enough that every in-flight shard event plus
-        // one marker per shard fits, which also bounds the reorder buffer.
-        let (wtx, wrx) = sync_channel::<WriterMsg>(n * cfg.queue_capacity + n);
+        // one marker per shard fits (every message carries at least one
+        // event or marker), so only the shards' event credit blocks.
+        let (wtx, wrx) = sync_channel::<(usize, Vec<WriterMsg>)>(n * cfg.queue_capacity + n);
+        let rooms: Vec<Arc<ShardRoom>> = (0..n)
+            .map(|_| Arc::new(ShardRoom::new(cfg.queue_capacity)))
+            .collect();
 
         let mut txs = Vec::with_capacity(n);
         let mut shard_handles = Vec::with_capacity(n);
@@ -423,10 +639,15 @@ impl Engine {
             let wtx = wtx.clone();
             let stats = Arc::clone(&stats);
             let injector = Arc::clone(&cfg.injector);
+            // lint: allow(panic_path, reason="idx < n == rooms.len(): one room per shard")
+            let room = Arc::clone(&rooms[idx]);
             shard_handles.push(
                 std::thread::Builder::new()
                     .name(format!("orfpred-shard-{idx}"))
-                    .spawn(move || shard_loop(idx, rx, wtx, part, &stats, &*injector))
+                    .spawn(move || {
+                        let _close = CloseOnExit(room);
+                        shard_loop(idx, rx, wtx, part, &stats, &*injector)
+                    })
                     // lint: allow(panic_path, reason="construction-time spawn failure (OS out of threads) before any stream state exists; failing fast is the only sane recovery")
                     .expect("spawn shard thread"),
             );
@@ -435,6 +656,7 @@ impl Engine {
 
         let writer = WriterThread {
             rx: wrx,
+            rooms: rooms.clone(),
             schema: schema.clone(),
             scaler,
             forest,
@@ -464,6 +686,9 @@ impl Engine {
                 prep,
                 window,
                 prep_buf: Vec::new(),
+                outboxes: (0..n).map(|_| Vec::new()).collect(),
+                rooms,
+                capacity: cfg.queue_capacity,
             }),
             stats,
             snapshot,
@@ -492,81 +717,31 @@ impl Engine {
         self.schema.n_features()
     }
 
-    /// Feed one raw stream event. The optional preprocessing stage runs
-    /// here, under the ingest lock, before sequence stamping: one raw event
-    /// becomes 0 (dropped / held) or more (held failures released) stamped
-    /// events. Blocks when the target shard's queue is full (backpressure)
-    /// and returns an error after shutdown.
+    /// Feed one raw stream event: a batch of one (see [`Self::ingest_batch`]).
     pub fn ingest(&self, event: FleetEvent) -> Result<(), ServeError> {
+        self.ingest_batch(std::iter::once(event))
+    }
+
+    /// Feed a run of raw stream events under one ingest-lock acquisition.
+    /// The optional preprocessing stage runs here, before sequence
+    /// stamping: one raw event becomes 0 (dropped / held) or more (held
+    /// failures released) stamped events. Stamped events collect in
+    /// per-shard outboxes, and each shard gets them as one message (a run
+    /// of more than `queue_capacity` events for one shard goes out in
+    /// several). Blocks while a target shard has no room for its message
+    /// (backpressure) and returns an error after shutdown; no event stays
+    /// in an outbox once this returns.
+    pub fn ingest_batch(
+        &self,
+        events: impl IntoIterator<Item = FleetEvent>,
+    ) -> Result<(), ServeError> {
         // Preprocessing, stamping seqs and enqueueing to the shards must be
         // one atomic step: two ingests racing between stamp and send could
         // invert per-disk order and break the N-shard == serial determinism
         // argument (DESIGN §8). The sends under this lock live in
-        // `send_prepped`, which carries the lock_discipline justification.
+        // `IngestState::send_outbox`.
         let mut st = self.ingest.lock();
-        if st.txs.is_none() {
-            return Err(ServeError::ShuttingDown);
-        }
-        let is_sample = matches!(&event, FleetEvent::Sample(_));
-        let mut buf = std::mem::take(&mut st.prep_buf);
-        buf.clear();
-        match st.prep.as_mut() {
-            Some(prep) => prep.observe(&event, &mut buf),
-            None => buf.push(event),
-        }
-        // Raw-side accounting happens even when prep swallows the event:
-        // the checkpoint cursor must match what the telemetry store holds.
-        st.raw_events += 1;
-        if is_sample {
-            self.stats.samples_ingested.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.failures_ingested.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut result = Ok(());
-        for mut ev in buf.drain(..) {
-            // The window stage runs after prep and before sharding: rows
-            // grow to full width here, so labeller queues and the writer
-            // only ever see extended rows (mirroring the serial
-            // predictor's hook point in `observe_sample_scored`).
-            if let Some(w) = st.window.as_mut() {
-                match &mut ev {
-                    FleetEvent::Sample(rec) => w.extend(rec.disk_id, &mut rec.features),
-                    FleetEvent::Failure { disk_id, .. } => w.forget(*disk_id),
-                }
-            }
-            if let Err(e) = self.send_prepped(&mut st, ev) {
-                result = Err(e);
-                break;
-            }
-        }
-        st.prep_buf = buf;
-        result
-    }
-
-    /// Stamp one prepped event with the next global sequence number and
-    /// enqueue it to its shard. Callers hold the ingest lock.
-    fn send_prepped(&self, st: &mut IngestState, event: FleetEvent) -> Result<(), ServeError> {
-        let seq = st.next_seq;
-        let shard = match &event {
-            FleetEvent::Sample(rec) => shard_of(rec.disk_id, self.n_shards),
-            FleetEvent::Failure { disk_id, .. } => shard_of(*disk_id, self.n_shards),
-        };
-        let txs = st.txs.as_ref().ok_or(ServeError::ShuttingDown)?;
-        // lint: allow(panic_path, reason="shard < n_shards: shard_of reduces mod n_shards; stats and txs both have n_shards entries")
-        self.stats.shard_depths[shard].fetch_add(1, Ordering::Relaxed);
-        if txs[shard] // lint: allow(panic_path, reason="shard < n_shards by shard_of's modulo; txs has one sender per shard")
-            .send(ShardMsg::Event(seq, Box::new(event)))
-            .is_err()
-        {
-            // lint: allow(panic_path, reason="shard < n_shards by shard_of's modulo; same bound as the fetch_add above")
-            self.stats.shard_depths[shard].fetch_sub(1, Ordering::Relaxed);
-            return Err(ServeError::ShuttingDown);
-        }
-        st.next_seq += 1;
-        self.stats
-            .events_issued
-            .store(st.next_seq, Ordering::Relaxed);
-        Ok(())
+        st.ingest_raw(events, &self.stats)
     }
 
     /// Score a full-width feature row against the latest published model
@@ -670,9 +845,8 @@ impl Engine {
     fn shutdown(&self, flush_prep: bool) -> Result<Finished, ServeError> {
         let (raw_events, final_prep, final_window) = {
             // The shutdown barrier must reach every shard at one seq with no
-            // ingest interleaved (same atomicity as `ingest`); the sends
-            // under this lock go through `send_prepped`, which carries the
-            // lock_discipline justification.
+            // ingest interleaved (same atomicity as `ingest_batch`); event
+            // sends under this lock go through `IngestState::send_outbox`.
             let mut st = self.ingest.lock();
             if st.txs.is_none() {
                 return Err(ServeError::ShuttingDown);
@@ -681,25 +855,19 @@ impl Engine {
                 // End-of-stream for the prep stage: failures still held for
                 // their survival re-check enter the stream now, before the
                 // shutdown barrier — exactly like `OnlinePredictor::finish`.
-                let mut buf = std::mem::take(&mut st.prep_buf);
-                buf.clear();
+                // Late-released events pass through the window stage like
+                // any other (they are failures, so this only drops state).
+                let mut buf = Vec::new();
                 if let Some(prep) = st.prep.as_mut() {
                     prep.finish(&mut buf);
                 }
-                for mut ev in buf.drain(..) {
-                    // Late-released events pass through the window stage like
-                    // any other (they are failures, so this only drops state).
-                    if let Some(w) = st.window.as_mut() {
-                        match &mut ev {
-                            FleetEvent::Sample(rec) => w.extend(rec.disk_id, &mut rec.features),
-                            FleetEvent::Failure { disk_id, .. } => w.forget(*disk_id),
-                        }
-                    }
-                    // A dead shard is noticed at join time, like the barrier
-                    // sends below.
-                    let _ = self.send_prepped(&mut st, ev);
-                }
-                st.prep_buf = buf;
+                // A dead shard is noticed at join time, like the barrier
+                // sends below.
+                let _ = buf
+                    .into_iter()
+                    .try_for_each(|ev| st.stamp(ev, &self.stats))
+                    .and_then(|()| st.send_outboxes(&self.stats));
+                st.outboxes.iter_mut().for_each(Vec::clear);
             }
             let txs = st.txs.take().ok_or(ServeError::ShuttingDown)?;
             let seq = st.next_seq;
@@ -749,101 +917,102 @@ impl Engine {
 
 /// Shard thread body: apply Algorithm 2 labelling for this shard's disks
 /// and forward every event (with any released training samples attached)
-/// to the model writer.
+/// to the model writer, one vector per message handled.
 ///
-/// The injector hooks live here: `kill_shard` makes the thread die on the
-/// spot (labelling queues and queued events lost, exactly like a crashed
-/// thread), and `delay_to_writer` holds a labelled message back until
-/// later messages have been forwarded — injected delivery reordering the
-/// writer's sequence-number reorder buffer must absorb. Held messages are
-/// flushed before any barrier so checkpoints and shutdown never wait on an
+/// The injector hooks live here and fire per event: `kill_shard` makes the
+/// thread die on the spot (labelling queues, held and queued events lost,
+/// exactly like a crashed thread; what the message already labelled goes
+/// out first, as a per-event shard would have sent it), and
+/// `delay_to_writer` holds a labelled event back until that many later
+/// events have been forwarded — injected delivery reordering the writer's
+/// sequence-number reorder buffer must absorb. Held events are flushed
+/// before any barrier so checkpoints and shutdown never wait on an
 /// injected delay.
 fn shard_loop(
     idx: usize,
     rx: Receiver<ShardMsg>,
-    wtx: SyncSender<WriterMsg>,
+    wtx: SyncSender<(usize, Vec<WriterMsg>)>,
     mut labeller: OnlineLabeller,
     stats: &ServeStats,
     injector: &dyn FaultInjector,
 ) {
-    // Injected-delay holdback: (messages still to let pass first, message).
+    // Injected-delay holdback: (events still to let pass first, message).
     let mut held: Vec<(usize, WriterMsg)> = Vec::new();
     while let Ok(msg) = rx.recv() {
         match msg {
-            ShardMsg::Event(seq, event) => {
+            ShardMsg::Events(events) => {
+                let n = events.len();
                 // lint: allow(panic_path, reason="idx is this shard's index, always < n_shards == shard_depths.len()")
-                stats.shard_depths[idx].fetch_sub(1, Ordering::Relaxed);
-                if injector.kill_shard(idx, seq) {
-                    // Simulated shard crash: abandon the labelling queues,
-                    // the held messages, and the channel, as a real dead
-                    // thread would. The engine reports ShuttingDown on the
-                    // next ingest routed here; recovery is restore-from-
-                    // checkpoint (tests/fault_shard.rs).
-                    return;
-                }
-                let out = match *event {
-                    FleetEvent::Sample(rec) => {
-                        let released = labeller.observe_sample(rec.disk_id, rec.day, &rec.features);
-                        WriterMsg::Sample {
+                stats.shard_depths[idx].fetch_sub(n as u64, Ordering::Relaxed);
+                let mut out = Vec::with_capacity(n);
+                for (seq, event) in events {
+                    if injector.kill_shard(idx, seq) {
+                        // Simulated shard crash: abandon the labelling
+                        // queues, the held messages, and the channel, as a
+                        // real dead thread would. The engine reports
+                        // ShuttingDown on the next ingest routed here;
+                        // recovery is restore-from-checkpoint
+                        // (tests/fault_shard.rs).
+                        if !out.is_empty() {
+                            let _ = wtx.send((idx, out));
+                        }
+                        return;
+                    }
+                    let labelled = match event {
+                        FleetEvent::Sample(rec) => {
+                            let released =
+                                labeller.observe_sample(rec.disk_id, rec.day, &rec.features);
+                            WriterMsg::Sample { seq, rec, released }
+                        }
+                        FleetEvent::Failure { disk_id, .. } => WriterMsg::Failure {
                             seq,
-                            rec: Box::new(rec),
-                            released,
-                        }
-                    }
-                    FleetEvent::Failure { disk_id, .. } => WriterMsg::Failure {
-                        seq,
-                        flushed: labeller.observe_failure(disk_id),
-                    },
-                };
-                let delay = injector.delay_to_writer(idx, seq);
-                if delay > 0 {
-                    held.push((delay, out));
-                } else if wtx.send(out).is_err() {
-                    return; // writer is gone; nothing left to do
-                }
-                // One more message has gone past (or joined the holdback):
-                // tick every held entry and release the expired ones.
-                let mut i = 0;
-                while i < held.len() {
-                    // lint: allow(panic_path, reason="i < held.len() is the loop condition; remove() below re-checks it")
-                    held[i].0 -= 1;
-                    // lint: allow(panic_path, reason="i < held.len() is the loop condition and i is not advanced since the check")
-                    if held[i].0 == 0 {
-                        let (_, m) = held.remove(i);
-                        if wtx.send(m).is_err() {
-                            return;
-                        }
+                            flushed: labeller.observe_failure(disk_id),
+                        },
+                    };
+                    let delay = injector.delay_to_writer(idx, seq);
+                    if delay > 0 {
+                        held.push((delay, labelled));
                     } else {
-                        i += 1;
+                        out.push(labelled);
                     }
+                    // One more event has gone past (or joined the
+                    // holdback): tick every held entry and release the
+                    // expired ones.
+                    let mut i = 0;
+                    while i < held.len() {
+                        // lint: allow(panic_path, reason="i < held.len() is the loop condition; remove() below re-checks it")
+                        held[i].0 -= 1;
+                        // lint: allow(panic_path, reason="i < held.len() is the loop condition and i is not advanced since the check")
+                        if held[i].0 == 0 {
+                            out.push(held.remove(i).1);
+                        } else {
+                            i += 1;
+                        }
+                    }
+                }
+                if !out.is_empty() && wtx.send((idx, out)).is_err() {
+                    return; // writer is gone; nothing left to do
                 }
             }
             ShardMsg::Checkpoint(seq) => {
-                for (_, m) in held.drain(..) {
-                    if wtx.send(m).is_err() {
-                        return;
-                    }
-                }
-                let marker = WriterMsg::Marker {
+                let mut out: Vec<WriterMsg> = held.drain(..).map(|(_, m)| m).collect();
+                out.push(WriterMsg::Marker {
                     seq,
                     labeller: labeller.clone(),
                     shutdown: false,
-                };
-                if wtx.send(marker).is_err() {
+                });
+                if wtx.send((idx, out)).is_err() {
                     return;
                 }
             }
             ShardMsg::Shutdown(seq) => {
-                for (_, m) in held.drain(..) {
-                    if wtx.send(m).is_err() {
-                        return;
-                    }
-                }
-                let _ = wtx.send(WriterMsg::Marker {
+                let mut out: Vec<WriterMsg> = held.drain(..).map(|(_, m)| m).collect();
+                out.push(WriterMsg::Marker {
                     seq,
                     labeller,
                     shutdown: true,
                 });
+                let _ = wtx.send((idx, out));
                 return;
             }
         }
@@ -853,7 +1022,9 @@ fn shard_loop(
 /// The model writer: single owner of the ORF and scaler, applying events
 /// in global sequence order.
 struct WriterThread {
-    rx: Receiver<WriterMsg>,
+    rx: Receiver<(usize, Vec<WriterMsg>)>,
+    /// The shards' event credit, given back as their events arrive.
+    rooms: Vec<Arc<ShardRoom>>,
     /// The engine's resolved domain, embedded in every checkpoint so a
     /// restore against a different domain fails its fingerprint check.
     schema: DomainSchema,
@@ -886,9 +1057,8 @@ impl WriterThread {
         'main: loop {
             // Pull until the next contiguous sequence number is buffered.
             while heap.peek().map(|m| m.0.seq()) != Some(self.next_seq) {
-                match self.rx.recv() {
-                    Ok(m) => heap.push(BySeq(m)),
-                    Err(_) => break 'main, // all shards gone
+                if !self.receive(&mut heap) {
+                    break 'main; // all shards gone
                 }
             }
             // lint: allow(panic_path, reason="the pull loop above only exits with the heap head at next_seq, so pop() is Some")
@@ -961,6 +1131,23 @@ impl WriterThread {
         }
     }
 
+    /// Receive one shard's labelled events into the reorder buffer and give
+    /// the shard back their room. False once every shard is gone.
+    fn receive(&self, heap: &mut BinaryHeap<BySeq>) -> bool {
+        let Ok((shard, batch)) = self.rx.recv() else {
+            return false;
+        };
+        let events = batch
+            .iter()
+            .filter(|m| !matches!(m, WriterMsg::Marker { .. }))
+            .count();
+        if let Some(room) = self.rooms.get(shard) {
+            room.give(events);
+        }
+        heap.extend(batch.into_iter().map(BySeq));
+        true
+    }
+
     /// Feed one released training sample (raw features + final label) to
     /// the adaptation loop; on a declared shift, run the update policy and
     /// publish the rebuilt model immediately so the lock-free scoring path
@@ -999,11 +1186,8 @@ impl WriterThread {
                     // lint: allow(panic_path, reason="barrier seq numbers are allocated once and every shard sends exactly a Marker for them; a non-marker here is memory corruption, where dying beats absorbing garbage into the model")
                     other => unreachable!("non-marker at barrier seq {}", other.seq()),
                 }
-            } else {
-                match self.rx.recv() {
-                    Ok(m) => heap.push(BySeq(m)),
-                    Err(_) => break, // shards died mid-barrier; best effort
-                }
+            } else if !self.receive(heap) {
+                break; // shards died mid-barrier; best effort
             }
         }
         merged
@@ -1246,6 +1430,107 @@ mod tests {
         assert!(engine.take_alarms().is_empty(), "drained exactly once");
         let fin = engine.finish().unwrap();
         assert_eq!(fin.alarms.len(), 10, "finish still returns the full list");
+    }
+
+    /// Holds its shard on the stream's first event until opened.
+    #[derive(Debug, Default)]
+    struct Gate {
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl FaultInjector for Gate {
+        fn kill_shard(&self, _shard: usize, seq: u64) -> bool {
+            if seq == 0 {
+                let mut open = self.open.lock().unwrap();
+                while !*open {
+                    open = self.opened.wait(open).unwrap();
+                }
+            }
+            false
+        }
+    }
+
+    fn samples(disk: u32, days: std::ops::Range<u16>) -> impl Iterator<Item = FleetEvent> {
+        days.map(move |day| FleetEvent::Sample(rec(disk, day, f32::from(day % 7))))
+    }
+
+    #[test]
+    fn a_shard_never_holds_more_than_queue_capacity_events() {
+        use std::sync::atomic::AtomicBool;
+        for capacity in [1usize, 2, 3, 5, 1024] {
+            let gate = Arc::new(Gate::default());
+            let mut c = cfg(1);
+            c.queue_capacity = capacity;
+            c.injector = gate.clone();
+            let engine = Arc::new(Engine::new(&c));
+            let room = Arc::clone(&engine.ingest.lock().rooms[0]);
+            // The shard stops on the first event, so these fill it to the
+            // bound, in one message or in many.
+            let full = capacity as u16;
+            engine.ingest_batch(samples(1, 0..full / 2)).unwrap();
+            for day in full / 2..full {
+                engine
+                    .ingest(samples(1, day..day + 1).next().unwrap())
+                    .unwrap();
+            }
+            assert_eq!(room.counts().held, capacity);
+            let done = Arc::new(AtomicBool::new(false));
+            let blocked = {
+                let (engine, done) = (Arc::clone(&engine), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    engine.ingest_batch(samples(1, full..full + 1)).unwrap();
+                    done.store(true, Ordering::SeqCst);
+                })
+            };
+            // One more event finds no room: its ingest waits for some.
+            while room.counts().want == 0 {
+                std::thread::yield_now();
+            }
+            assert!(!done.load(Ordering::SeqCst));
+            assert_eq!(room.counts().held, capacity, "capacity {capacity}");
+            gate.open();
+            blocked.join().unwrap();
+            engine.flush();
+            assert_eq!(engine.stats().events_applied, capacity as u64 + 1);
+            engine.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn outboxes_are_empty_whenever_ingest_batch_returns() {
+        #[derive(Debug)]
+        struct KillShardOne;
+        impl FaultInjector for KillShardOne {
+            fn kill_shard(&self, shard: usize, seq: u64) -> bool {
+                shard == 1 && seq >= 40
+            }
+        }
+        let mut c = cfg(2);
+        c.queue_capacity = 8;
+        c.injector = Arc::new(KillShardOne);
+        let engine = Engine::new(&c);
+        let outboxes_empty = || engine.ingest.lock().outboxes.iter().all(Vec::is_empty);
+        let mut failed = false;
+        for (k, day) in (0..60u16).step_by(3).enumerate() {
+            let batch: Vec<FleetEvent> = (0..6u32)
+                .flat_map(|disk| samples(disk, day..day + 3))
+                .take(1 + k % 18)
+                .collect();
+            failed |= engine.ingest_batch(batch).is_err();
+            assert!(outboxes_empty(), "batch {k} left events in an outbox");
+        }
+        assert!(failed, "the killed shard made a later batch fail");
+        let _ = engine.suspend();
+        assert!(engine.ingest_batch(samples(0, 0..3)).is_err());
+        assert!(outboxes_empty());
     }
 
     #[test]

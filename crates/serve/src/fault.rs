@@ -73,6 +73,8 @@ pub trait FaultInjector: Send + Sync + std::fmt::Debug {
     /// forwarded first — forcing out-of-order delivery well beyond natural
     /// scheduling skew, which the writer's reorder buffer must absorb.
     /// Held messages are flushed before any checkpoint/shutdown barrier.
+    /// A held message keeps its room in the shard's queue capacity, so at
+    /// most half of `queue_capacity` messages may be held at once.
     fn delay_to_writer(&self, _shard: usize, _seq: u64) -> usize {
         0
     }

@@ -49,6 +49,8 @@ cargo bench -p orfpred-bench --bench score --no-run
 cargo bench -p orfpred-bench --bench fleet --no-run
 
 echo "== tier-1: full test suite =="
+# The root manifest's default-members is every workspace member, so this
+# runs the unit and integration tests of every crate, not only the facade.
 cargo test -q
 
 echo "== fault suites (TESTKIT_SEEDS=$TESTKIT_SEEDS) =="
@@ -74,9 +76,8 @@ cargo test -q --test store_roundtrip
 echo "== batch kernel equivalence suite =="
 cargo test -q --test batch_equiv --test frozen_equiv
 
-echo "== fleet: the daemon loop, its front-ends and serving equivalence =="
-cargo test -q -p orfpred-fleet
-cargo test -q -p orfpred-serve -p orfpred-cli
+echo "== fleet: serving equivalence =="
+# The fleet, serve and cli package tests already ran in the tier-1 stage.
 cargo test -q --test fleet_equiv
 
 echo "ci: all green"

@@ -6,13 +6,18 @@
 //! buffer reconstruct the exact serial event order. This test drives the
 //! same fleet event stream through the serial [`OnlinePredictor`] and
 //! through engines with 1 and 4 shards and demands the identical alarm
-//! stream — same disks, same days, same float scores, same order.
+//! stream — same disks, same days, same float scores, same order. Ingest
+//! batching is output-neutral too: ragged `ingest_batch` runs match
+//! per-event `ingest` byte for byte.
 
 use orfpred::core::{Alarm, OnlinePredictor, OnlinePredictorConfig};
 use orfpred::prep::PrepConfig;
 use orfpred::serve::{Checkpoint, Engine, ServeConfig};
 use orfpred::smart::attrs::table2_feature_columns;
-use orfpred::smart::gen::{FleetConfig, FleetEvent, FleetSim, ScalePreset};
+use orfpred::smart::gen::{
+    corrupt_events, DirtyConfig, FleetConfig, FleetEvent, FleetSim, ScalePreset,
+};
+use orfpred::smart::DomainSchema;
 
 fn fleet_events(seed: u64) -> Vec<FleetEvent> {
     let mut cfg = FleetConfig::sta(ScalePreset::Tiny, seed);
@@ -197,4 +202,81 @@ fn shard_counts_agree_with_each_other() {
     assert!(!one.is_empty());
     assert_eq!(one, two);
     assert_eq!(two, four);
+}
+
+/// Batch sizes for the batched-ingest leg, cycled: single events, ragged
+/// runs, and runs either side of a full ORFB batch (512) and of two shard
+/// messages at the default queue capacity (1024).
+const RAGGED: [usize; 7] = [1, 3, 512, 2, 513, 37, 1025];
+
+/// The prep stage armed, over the windowed SMART domain with two derived
+/// columns among the features.
+fn windowed_prep_cfg() -> OnlinePredictorConfig {
+    let schema = DomainSchema::smart_windowed();
+    let n_base = schema.n_base_features();
+    let mut cols = table2_feature_columns();
+    cols.extend([n_base, n_base + 1]);
+    let plain = predictor_cfg();
+    let mut cfg = OnlinePredictorConfig::for_domain(schema, cols, 9);
+    cfg.orf = plain.orf;
+    cfg.alarm_threshold = plain.alarm_threshold;
+    cfg.prep = Some(PrepConfig::tolerant());
+    cfg
+}
+
+/// Run `events` through an engine, per event or in ragged batches; return
+/// the alarms and the final checkpoint JSON.
+fn engine_run(
+    predictor: &OnlinePredictorConfig,
+    events: &[FleetEvent],
+    n_shards: usize,
+    batched: bool,
+) -> (Vec<Alarm>, String) {
+    let mut cfg = ServeConfig::new(predictor.clone());
+    cfg.n_shards = n_shards;
+    let engine = Engine::new(&cfg);
+    if batched {
+        let mut rest = events;
+        for size in RAGGED.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at((*size).min(rest.len()));
+            engine.ingest_batch(head.iter().cloned()).unwrap();
+            rest = tail;
+        }
+    } else {
+        for event in events {
+            engine.ingest(event.clone()).unwrap();
+        }
+    }
+    let fin = engine.finish().expect("clean shutdown");
+    (fin.alarms, serde_json::to_string(&fin.checkpoint).unwrap())
+}
+
+#[test]
+fn ragged_batches_match_per_event_ingest_bit_for_bit() {
+    let dirty = corrupt_events(&fleet_events(2208), &DirtyConfig::mild(0x5e));
+    let legs = [
+        ("plain", predictor_cfg(), fleet_events(2207)),
+        ("prep + smart-windowed", windowed_prep_cfg(), dirty),
+    ];
+    for (name, predictor, events) in &legs {
+        for n_shards in [1usize, 2, 5] {
+            let (per_event, per_event_ck) = engine_run(predictor, events, n_shards, false);
+            assert!(
+                !per_event.is_empty(),
+                "{name}: the stream must raise alarms"
+            );
+            let (batched, batched_ck) = engine_run(predictor, events, n_shards, true);
+            assert_eq!(
+                batched, per_event,
+                "{name}, {n_shards} shard(s): batched alarms diverged"
+            );
+            assert!(
+                batched_ck == per_event_ck,
+                "{name}, {n_shards} shard(s): batched final checkpoint diverged"
+            );
+        }
+    }
 }

@@ -170,10 +170,10 @@ fn lint_toml_entry_suppresses_and_unused_entries_are_noted() {
 
 #[test]
 fn batch_kernel_unsafe_sites_are_inventoried_and_justified() {
-    // The level-order batch kernel is the workspace's densest unsafe code
-    // (unchecked lane gathers); it must sit inside the determinism scope
-    // (crate `trees`) and every one of its unsafe sites must be inventoried
-    // with a `// SAFETY:` justification.
+    // The frozen forest's block kernel is the workspace's densest unsafe
+    // code (unchecked lane gathers); it must sit inside the determinism
+    // scope (crate `trees`) and every one of its unsafe sites must be
+    // inventoried with a `// SAFETY:` justification.
     assert!(
         orfpred_analyze::rules::DETERMINISTIC_CRATES.contains(&"trees"),
         "the kernel crate must stay in the determinism scope"
@@ -190,7 +190,7 @@ fn batch_kernel_unsafe_sites_are_inventoried_and_justified() {
     let kernel: Vec<&orfpred_analyze::UnsafeSite> = report
         .inventory
         .iter()
-        .filter(|s| s.path.ends_with("crates/trees/src/level.rs") && !s.in_test)
+        .filter(|s| s.path.ends_with("crates/trees/src/frozen.rs") && !s.in_test)
         .collect();
     assert!(
         !kernel.is_empty(),

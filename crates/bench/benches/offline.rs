@@ -1,5 +1,5 @@
 //! Offline baseline benchmarks: CART / best-first DT / Random Forest
-//! training and batch scoring, including the rayon tree-parallel speedup.
+//! training and batch scoring (trees are fit and scored one after another).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use orfpred_trees::{CartConfig, DecisionTree, ForestConfig, RandomForest};
@@ -44,21 +44,13 @@ fn bench_cart(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_forest_fit_scaling(c: &mut Criterion) {
+fn bench_forest_fit(c: &mut Criterion) {
     let (x, y) = dataset(4_000, 19, 4);
     let mut group = c.benchmark_group("rf_fit_30_trees");
     group.throughput(Throughput::Elements(x.n_rows() as u64));
-    for &threads in &[1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .unwrap();
-            b.iter(|| {
-                pool.install(|| RandomForest::fit(black_box(&x), &y, &ForestConfig::default(), 7))
-            });
-        });
-    }
+    group.bench_function("4k_rows", |b| {
+        b.iter(|| RandomForest::fit(black_box(&x), &y, &ForestConfig::default(), 7));
+    });
     group.finish();
 }
 
@@ -77,6 +69,6 @@ fn bench_forest_score(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_cart, bench_forest_fit_scaling, bench_forest_score
+    targets = bench_cart, bench_forest_fit, bench_forest_score
 );
 criterion_main!(benches);

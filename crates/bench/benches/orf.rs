@@ -1,7 +1,8 @@
-//! ORF micro-benchmarks: per-sample update cost, prediction latency, the
-//! `n_tests` memory/CPU knob, and rayon batch-update scaling — the
-//! "training and testing procedures can be easily parallelized" claim of
-//! §3.2, measured.
+//! ORF micro-benchmarks: per-sample update cost, batch-update cost,
+//! prediction latency, and the `n_tests` memory/CPU knob. Trees are updated
+//! one after another; the per-tree RNG streams behind the "training and
+//! testing procedures can be easily parallelized" claim of §3.2 keep that
+//! order from changing any result.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use orfpred_core::{OnlineRandomForest, OrfConfig};
@@ -64,30 +65,18 @@ fn bench_update(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_update_batch_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("orf_batch_parallel");
+fn bench_update_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("orf_batch_update");
     let data = stream(5_000, 3);
     let batch: Vec<(&[f32], bool)> = data.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
-    for &threads in &[1usize, 4] {
-        group.throughput(Throughput::Elements(batch.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |b, &threads| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                b.iter(|| {
-                    pool.install(|| {
-                        let mut f = warmed_forest(200);
-                        f.update_batch(black_box(&batch));
-                        f.samples_seen()
-                    })
-                });
-            },
-        );
-    }
+    group.throughput(Throughput::Elements(batch.len() as u64));
+    group.bench_function("5k_samples", |b| {
+        b.iter(|| {
+            let mut f = warmed_forest(200);
+            f.update_batch(black_box(&batch));
+            f.samples_seen()
+        });
+    });
     group.finish();
 }
 
@@ -149,6 +138,6 @@ fn bench_tree_replacement(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_update, bench_update_batch_scaling, bench_predict, bench_tree_replacement
+    targets = bench_update, bench_update_batch, bench_predict, bench_tree_replacement
 );
 criterion_main!(benches);

@@ -1,10 +1,10 @@
 //! Scoring-path micro-benchmarks: the live ORF tree walk (pointer-chasing
-//! through slot pools and enum nodes), the frozen struct-of-arrays preorder
-//! kernel (single-row and as a per-row batch loop), and the level-order
-//! interleaved batch kernels — per-thread (pinned to 1 worker) and total
-//! (pinned to the host's core count) throughput reported separately, so a
-//! constrained host cannot masquerade serial numbers as parallel ones
-//! (`BENCH_score.json` records the trajectory and the core count).
+//! through slot pools and enum nodes), the frozen forest's single-row walk
+//! over its breadth-first arrays, and the interleaved lane kernels over the
+//! same arrays — per-thread (pinned to 1 worker) and total (pinned to the
+//! host's core count) throughput reported separately, so a constrained host
+//! cannot masquerade serial numbers as parallel ones (`BENCH_score.json`
+//! records the trajectory and the core count).
 //!
 //! The forest is paper-scale: 30 trees warmed on 8k samples of a thinned
 //! disk stream, exactly like `orf.rs`'s prediction bench.
@@ -50,7 +50,6 @@ fn warmed_forest() -> OnlineRandomForest {
 fn bench_score(c: &mut Criterion) {
     let forest = warmed_forest();
     let frozen = forest.freeze();
-    let level = frozen.level();
     let probes = stream(N_PROBES, 4);
     let rows: Vec<&[f32]> = probes.iter().map(|(x, _)| x.as_slice()).collect();
     // Column-major copy of the same probes (the telemetry-store shape).
@@ -66,7 +65,8 @@ fn bench_score(c: &mut Criterion) {
     let mut group = c.benchmark_group("score");
     group.throughput(Throughput::Elements(probes.len() as u64));
 
-    // The pre-refactor hot path: walk every live tree's enum nodes.
+    // Walk every live tree's enum nodes: what the serve writer does for the
+    // alarm score of each arriving sample.
     group.bench_function("live_walk_1k_rows", |b| {
         b.iter(|| {
             let mut acc = 0.0f32;
@@ -77,8 +77,8 @@ fn bench_score(c: &mut Criterion) {
         });
     });
 
-    // Frozen preorder kernel, one row at a time — same call shape as the
-    // live walk; this is the kernel the serving daemon runs per event.
+    // Frozen single-row walk, one row at a time — same call shape as the
+    // live walk; `score` requests against a published snapshot take it.
     group.bench_function("frozen_single_1k_rows", |b| {
         b.iter(|| {
             let mut acc = 0.0f32;
@@ -89,32 +89,22 @@ fn bench_score(c: &mut Criterion) {
         });
     });
 
-    // What the old "frozen_batch" stage actually measured on a serial
-    // host: the preorder kernel in a per-row loop. Kept as the baseline
-    // the interleaved kernel is judged against.
-    group.bench_function("frozen_batch_rowloop_1k_rows", |b| {
-        b.iter(|| {
-            let rows = black_box(&rows);
-            rows.iter().map(|r| frozen.score(r)).sum::<f32>()
-        });
-    });
-
     // Level-order interleaved kernel, pinned to ONE worker: per-thread
     // throughput, comparable across hosts of any width.
     group.bench_function("frozen_batch_bf_1t_1k_rows", |b| {
-        b.iter(|| level.score_rows_threaded(black_box(&rows), 1).len());
+        b.iter(|| frozen.score_rows_threaded(black_box(&rows), 1).len());
     });
 
     // Same kernel pinned to the core count: total machine throughput
     // (identical to _1t on a single-core host — the JSON notes the count).
     group.bench_function("frozen_batch_bf_mt_1k_rows", |b| {
-        b.iter(|| level.score_rows_threaded(black_box(&rows), cores).len());
+        b.iter(|| frozen.score_rows_threaded(black_box(&rows), cores).len());
     });
 
     // Columnar gather straight off feature columns (the store-replay
     // shape, no row materialization), one worker.
     group.bench_function("frozen_batch_bf_cols_1t_1k_rows", |b| {
-        b.iter(|| level.score_columns_threaded(black_box(&col_refs), 1).len());
+        b.iter(|| frozen.score_columns_threaded(black_box(&col_refs), 1).len());
     });
 
     group.finish();

@@ -727,24 +727,6 @@ fn model_inspect(argv: &[String]) -> Result<(), String> {
             f.memory_bytes() / f.n_trees()
         ),
     }
-    // The breadth-first batch twin must describe the same forest: its
-    // counts and depth histogram are derived from a different node layout,
-    // so any disagreement flags a compilation bug.
-    let lv = f.level();
-    assert_eq!(lv.n_trees(), f.n_trees(), "level layout tree count");
-    assert_eq!(lv.n_nodes(), f.n_nodes(), "level layout node count");
-    assert_eq!(lv.n_leaves(), f.n_leaves(), "level layout leaf count");
-    assert_eq!(lv.max_depth(), f.max_depth(), "level layout max depth");
-    assert_eq!(
-        lv.depth_histogram(),
-        hist,
-        "level layout depth histogram diverged from preorder"
-    );
-    println!(
-        "batch (level-order) twin: {} bytes ({} per tree), layout verified against preorder",
-        lv.memory_bytes(),
-        lv.memory_bytes() / lv.n_trees()
-    );
     let ranked = f.top_importances(top);
     if !ranked.is_empty() {
         println!("top {} feature importances:", ranked.len());

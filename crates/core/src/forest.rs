@@ -8,17 +8,17 @@
 //! the temporal-forgetting mechanism that makes the model track a drifting
 //! SMART distribution.
 //!
-//! Parallelism: trees are fully independent, so updates and predictions
-//! fan out across trees with rayon. Every tree owns a private RNG stream
-//! derived from the forest seed, which makes results **bit-identical for
-//! any thread count** — the property the whole experiment suite leans on.
+//! Determinism: trees are fully independent and are updated and scored one
+//! after another. Every tree owns a private RNG stream derived from the
+//! forest seed, so a tree's work never depends on another tree's — results
+//! are **bit-identical for a fixed seed**, the property the whole
+//! experiment suite leans on.
 
 use crate::config::OrfConfig;
 use crate::tree::OnlineTree;
 use orfpred_util::dist::poisson;
 use orfpred_util::stats::Ewma;
 use orfpred_util::Xoshiro256pp;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One tree plus its bagging/decay bookkeeping.
@@ -130,7 +130,8 @@ impl OnlineRandomForest {
         self.replace_slots(&replace);
     }
 
-    /// Absorb a batch, updating trees in parallel.
+    /// Absorb a batch, tree by tree: each tree takes the whole batch before
+    /// the next one starts.
     ///
     /// Exactly equivalent to calling [`OnlineRandomForest::update`] per
     /// sample (per-tree RNG streams make tree work independent), except that
@@ -144,7 +145,7 @@ impl OnlineRandomForest {
         let cfg = self.cfg.clone();
         let flagged: Vec<usize> = self
             .slots
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
             .filter_map(|(i, slot)| {
                 let mut decayed = false;
@@ -199,9 +200,9 @@ impl OnlineRandomForest {
         sum / n as f32
     }
 
-    /// Score many rows in parallel.
+    /// Score many rows, one after another.
     pub fn score_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        rows.par_iter().map(|r| self.score(r)).collect()
+        rows.iter().map(|r| self.score(r)).collect()
     }
 
     /// Hard prediction at vote threshold `tau`.
@@ -356,28 +357,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_updates_deterministic_across_thread_counts() {
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                let mut f = OnlineRandomForest::new(2, cfg_fast(), 5);
-                let mut rng = Xoshiro256pp::seed_from_u64(6);
-                let data: Vec<([f32; 2], bool)> = (0..600)
-                    .map(|_| {
-                        let x = [rng.next_f32(), rng.next_f32()];
-                        (x, x[1] > 0.3)
-                    })
-                    .collect();
-                let batch: Vec<(&[f32], bool)> =
-                    data.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
-                f.update_batch(&batch);
-                f.score(&[0.25, 0.75])
-            })
+    fn batch_updates_are_deterministic_for_a_fixed_seed() {
+        let run = || {
+            let mut f = OnlineRandomForest::new(2, cfg_fast(), 5);
+            let mut rng = Xoshiro256pp::seed_from_u64(6);
+            let data: Vec<([f32; 2], bool)> = (0..600)
+                .map(|_| {
+                    let x = [rng.next_f32(), rng.next_f32()];
+                    (x, x[1] > 0.3)
+                })
+                .collect();
+            let batch: Vec<(&[f32], bool)> = data.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
+            f.update_batch(&batch);
+            f.score(&[0.25, 0.75])
         };
-        assert_eq!(run(1), run(4));
+        assert_eq!(run(), run());
     }
 
     #[test]

@@ -15,7 +15,6 @@
 
 use crate::scorer::Scorer;
 use orfpred_smart::record::Dataset;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Per-disk maximum scores over the relevant sample sets.
@@ -249,7 +248,7 @@ pub fn scored_disks_censored(
 ) -> ScoredDisks {
     let by_disk = ds.records_by_disk();
     let maxima: Vec<(bool, f32)> = disks
-        .par_iter()
+        .iter()
         .map(|&disk_id| {
             let mut info = ds.disks[disk_id as usize];
             if let Some(cut) = censor {
@@ -356,7 +355,7 @@ pub fn monthly_outcome_with(
     let by_disk = ds.records_by_disk();
 
     let verdicts: Vec<Option<(bool, bool)>> = disks
-        .par_iter()
+        .iter()
         .map(|&disk_id| {
             let info = &ds.disks[disk_id as usize];
             if info.install_day >= end {

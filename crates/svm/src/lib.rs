@@ -7,8 +7,8 @@
 //! * maximal-violating-pair working-set selection (LIBSVM's first-order
 //!   rule) and the analytic two-variable update,
 //! * per-class penalties `C⁺`/`C⁻` (LIBSVM `-w1/-w-1`) for imbalance,
-//! * an LRU kernel-row cache so the n×n kernel matrix is never materialised,
-//! * parallel (rayon) kernel-row computation — the hot loop.
+//! * an LRU kernel-row cache so the n×n kernel matrix is never materialised
+//!   (kernel-row computation on a cache miss is the hot loop).
 
 #![warn(missing_docs)]
 

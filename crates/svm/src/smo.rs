@@ -2,7 +2,6 @@
 
 use crate::kernel::Kernel;
 use orfpred_util::Matrix;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -68,7 +67,7 @@ impl<'a> RowCache<'a> {
         }
     }
 
-    /// Kernel row `K(i, ·)`; computed in parallel on a miss.
+    /// Kernel row `K(i, ·)`; computed on a miss.
     fn row(&mut self, i: usize) -> &[f32] {
         self.clock += 1;
         let clock = self.clock;
@@ -82,10 +81,7 @@ impl<'a> RowCache<'a> {
         let kernel = self.kernel;
         let entry = self.rows.entry(i).or_insert_with(|| {
             let xi = x.row(i);
-            let row: Vec<f32> = (0..x.n_rows())
-                .into_par_iter()
-                .map(|j| kernel.eval(xi, x.row(j)) as f32)
-                .collect();
+            let row: Vec<f32> = x.rows().map(|xj| kernel.eval(xi, xj) as f32).collect();
             (clock, row)
         });
         entry.0 = clock;
@@ -184,9 +180,9 @@ impl Svm {
 
             // Gradient update: G_t += y_t y_i K_ti Δα_i + y_t y_j K_tj Δα_j.
             let kjrow: Vec<f32> = cache.row(j).to_vec();
-            grad.par_iter_mut().enumerate().for_each(|(t, g)| {
+            for (t, g) in grad.iter_mut().enumerate() {
                 *g += ys[t] * (yi * dai * f64::from(ki[t]) + yj * daj * f64::from(kjrow[t]));
-            });
+            }
         }
 
         // Keep support vectors only.
@@ -219,12 +215,9 @@ impl Svm {
         sum + self.bias
     }
 
-    /// Decision values for many rows, in parallel.
+    /// Decision values for many rows, one after another.
     pub fn decision_batch(&self, rows: &Matrix) -> Vec<f64> {
-        (0..rows.n_rows())
-            .into_par_iter()
-            .map(|i| self.decision(rows.row(i)))
-            .collect()
+        rows.rows().map(|r| self.decision(r)).collect()
     }
 
     /// Hard prediction with a tunable offset (`thr = 0` is the SVM's own

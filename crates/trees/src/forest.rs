@@ -2,12 +2,10 @@
 //! baseline and the convergence target for ORF in Figures 2–3.
 //!
 //! Bootstrap replicates + per-node random feature subsets; trees are grown
-//! in parallel with rayon (per-tree RNG streams keep the result identical
-//! regardless of thread count).
+//! one after another, each on its own RNG stream split from the seed.
 
 use crate::cart::{CartConfig, DecisionTree};
 use orfpred_util::{Matrix, Xoshiro256pp};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Forest hyper-parameters.
@@ -57,8 +55,8 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fit on all rows of `x`. Deterministic in `seed` (independent of the
-    /// rayon thread count: each tree owns the stream `seed ⊕ tree_index`).
+    /// Fit on all rows of `x`. Deterministic in `seed`: each tree owns the
+    /// stream `seed ⊕ tree_index`.
     pub fn fit(x: &Matrix, y: &[bool], cfg: &ForestConfig, seed: u64) -> Self {
         assert_eq!(x.n_rows(), y.len());
         assert!(x.n_rows() > 0, "cannot fit a forest on zero samples");
@@ -70,7 +68,6 @@ impl RandomForest {
         let master = Xoshiro256pp::seed_from_u64(seed);
         let n = x.n_rows();
         let trees: Vec<DecisionTree> = (0..cfg.n_trees)
-            .into_par_iter()
             .map(|t| {
                 let mut rng = master.split(t as u64);
                 let idx: Vec<u32> = if cfg.bootstrap {
@@ -93,12 +90,9 @@ impl RandomForest {
         sum / self.trees.len() as f32
     }
 
-    /// Score many rows in parallel.
+    /// Score many rows, one after another.
     pub fn score_batch(&self, rows: &Matrix) -> Vec<f32> {
-        (0..rows.n_rows())
-            .into_par_iter()
-            .map(|i| self.score(rows.row(i)))
-            .collect()
+        rows.rows().map(|r| self.score(r)).collect()
     }
 
     /// Hard prediction at vote threshold `tau`.
@@ -183,21 +177,13 @@ mod tests {
     }
 
     #[test]
-    fn fit_is_deterministic_in_seed_across_thread_counts() {
+    fn fit_is_deterministic_for_a_fixed_seed() {
         let (x, y) = ring_data(500, 3);
         let f1 = RandomForest::fit(&x, &y, &ForestConfig::default(), 7);
         let f2 = RandomForest::fit(&x, &y, &ForestConfig::default(), 7);
         let (xt, _) = ring_data(100, 4);
         for i in 0..xt.n_rows() {
             assert_eq!(f1.score(xt.row(i)), f2.score(xt.row(i)));
-        }
-        let single = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let f3 = single.install(|| RandomForest::fit(&x, &y, &ForestConfig::default(), 7));
-        for i in 0..xt.n_rows() {
-            assert_eq!(f1.score(xt.row(i)), f3.score(xt.row(i)));
         }
     }
 

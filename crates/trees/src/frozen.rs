@@ -5,32 +5,42 @@
 //! Live trees are built for *growth*: arena nodes are enum-tagged, online
 //! leaves drag candidate-test pools of up to `N = 5 000` streaming
 //! statistics, and the online ensemble re-derives its mature-tree pool on
-//! every call. None of that is needed to *score* — the deployable hot path
-//! of Algorithm 2, which touches every arriving SMART snapshot. `freeze()`
-//! compiles any tree model ([`crate::DecisionTree`], [`crate::RandomForest`],
-//! and the online forest in `orfpred-core`) into a [`FrozenForest`]:
+//! every call. None of that is needed to *score*. `freeze()` compiles any
+//! tree model ([`crate::DecisionTree`], [`crate::RandomForest`], and the
+//! online forest in `orfpred-core`) into a [`FrozenForest`]:
 //!
 //! * **struct-of-arrays** — parallel `feature: u16` / `threshold: f32` /
-//!   `skip: u32` arrays, no enum tags, no per-leaf pools;
-//! * **preorder layout** — every tree is re-emitted in preorder, so a
-//!   node's left child is always the next array index and only the right
-//!   child (`skip`) is stored; descending left is a cache-line walk;
+//!   `lo: u32` / `hi: u32` / `value: f32` arrays, no enum tags, no per-leaf
+//!   pools;
+//! * **breadth-first layout** — [`FrozenBuilder::add_tree`] lays each tree
+//!   out level by level, left child queued before right, so a node's
+//!   children always sit after it inside its own tree, and while a block of
+//!   rows is at depth `d` every node it can touch sits in one contiguous
+//!   stretch of the arrays;
+//! * **self-looping leaves** — both child edges are explicit absolute
+//!   indices, and a leaf's two edges point at the leaf itself;
 //! * **contiguous per-forest storage** — all trees share one node pool,
-//!   delimited by `tree_starts`;
-//! * **bit-identical scores** — leaf values and the tree summation order
-//!   are captured exactly as the live `score()` computes them, so freezing
-//!   never changes a prediction (enforced by `tests/frozen_equiv.rs`).
+//!   delimited by `tree_starts`, with each tree's deepest leaf recorded in
+//!   `tree_depths`;
+//! * **bit-identical scores** — routing is the live walkers' `x[f] <= thr`
+//!   (NaN routes right), leaf values are copied verbatim, and tree
+//!   contributions are summed in tree order before one division, so
+//!   freezing never changes a prediction (enforced by
+//!   `tests/frozen_equiv.rs` and `tests/batch_equiv.rs`).
+//!
+//! [`FrozenForest::score`] walks one row down each tree and stops at the
+//! first node that loops to itself. The block kernel beside it advances
+//! [`LANES`] rows together one level per step over the same arrays, with
+//! unchecked indexing that rests on the builder's layout facts — which is
+//! why the builder, the node arrays and the kernel share this module. The
+//! public batch entry points and their thread fan-out are in
+//! [`crate::level`].
 //!
 //! Per-feature importances are preserved at freeze time (normalized, as the
 //! live `importances()` accessors report them) — the paper's
 //! interpretability hook survives compilation.
 
-use crate::level::LevelForest;
-use orfpred_util::Matrix;
-
-/// Sentinel in the `feature` array marking a leaf; valid split features are
-/// strictly below it (growers bound `n_features ≤ u16::MAX`).
-pub(crate) const LEAF: u16 = u16::MAX;
+use crate::level::LANES;
 
 /// One resolved node of a source tree, handed to [`FrozenBuilder::add_tree`]
 /// by a model's `freeze()` implementation.
@@ -53,75 +63,91 @@ pub enum SourceNode {
     },
 }
 
-/// Incremental constructor for a [`FrozenForest`]: each source tree is
-/// re-emitted in preorder through a node resolver.
+/// Incremental constructor for a [`FrozenForest`]: each source tree is laid
+/// out breadth-first through a node resolver.
 pub struct FrozenBuilder {
-    feature: Vec<u16>,
-    threshold: Vec<f32>,
-    skip: Vec<u32>,
-    tree_starts: Vec<u32>,
-    n_features: usize,
+    /// The forest under construction (importances are filled in by
+    /// [`Self::finish`]).
+    forest: FrozenForest,
+    /// Breadth-first work queue of `(source index, depth)` for the tree
+    /// being added: entry `i` becomes the tree's node `i`.
+    queue: Vec<(u32, u32)>,
 }
 
 impl FrozenBuilder {
     /// Start a forest over `n_features` inputs.
     pub fn new(n_features: usize) -> Self {
         assert!(
-            n_features > 0 && n_features <= LEAF as usize,
+            n_features > 0 && n_features <= u16::MAX as usize,
             "feature count {n_features} does not fit the packed u16 layout"
         );
         Self {
-            feature: Vec::new(),
-            threshold: Vec::new(),
-            skip: Vec::new(),
-            tree_starts: vec![0],
-            n_features,
+            forest: FrozenForest {
+                feature: Vec::new(),
+                threshold: Vec::new(),
+                lo: Vec::new(),
+                hi: Vec::new(),
+                value: Vec::new(),
+                tree_starts: vec![0],
+                tree_depths: Vec::new(),
+                n_features,
+                importances: Vec::new(),
+            },
+            queue: Vec::new(),
         }
     }
 
     /// Append one tree, walking it from `root` via `resolve` (which maps a
-    /// source-arena index to its node). Trees are scored in insertion order,
-    /// so callers must add them in the same order the live ensemble sums.
+    /// source-arena index to its node). Nodes are emitted in the order they
+    /// leave a breadth-first queue; a split reserves the next two queue
+    /// slots for its left then right child, so `hi == lo + 1` and both lie
+    /// after the split inside this tree. Trees are scored in insertion
+    /// order, so callers must add them in the same order the live ensemble
+    /// sums.
     pub fn add_tree(&mut self, root: u32, resolve: &mut dyn FnMut(u32) -> SourceNode) {
-        self.emit(root, resolve);
-        self.tree_starts.push(self.feature.len() as u32);
-    }
-
-    fn emit(&mut self, src: u32, resolve: &mut dyn FnMut(u32) -> SourceNode) {
-        match resolve(src) {
-            SourceNode::Leaf { value } => {
-                self.feature.push(LEAF);
-                self.threshold.push(value);
-                self.skip.push(0);
+        let f = &mut self.forest;
+        let base = f.feature.len();
+        self.queue.clear();
+        self.queue.push((root, 0));
+        let mut deepest = 0;
+        let mut head = 0;
+        while let Some(&(src, depth)) = self.queue.get(head) {
+            let slot = (base + head) as u32;
+            match resolve(src) {
+                SourceNode::Leaf { value } => {
+                    f.push_node(0, 0.0, slot, slot, value);
+                    deepest = deepest.max(depth);
+                }
+                SourceNode::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    assert!(
+                        (feature as usize) < f.n_features,
+                        "split feature {feature} out of range"
+                    );
+                    let lo = (base + self.queue.len()) as u32;
+                    self.queue.push((left, depth + 1));
+                    self.queue.push((right, depth + 1));
+                    f.push_node(feature, threshold, lo, lo + 1, 0.0);
+                }
             }
-            SourceNode::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                assert!(
-                    (feature as usize) < self.n_features,
-                    "split feature {feature} out of range"
-                );
-                let at = self.feature.len();
-                self.feature.push(feature);
-                self.threshold.push(threshold);
-                self.skip.push(0); // patched once the left subtree is laid out
-                self.emit(left, resolve);
-                self.skip[at] = self.feature.len() as u32;
-                self.emit(right, resolve);
-            }
+            head += 1;
         }
+        f.tree_starts.push(f.feature.len() as u32);
+        f.tree_depths.push(deepest);
     }
 
     /// Seal the forest. `importances` are raw per-feature accumulated gains
     /// (summed over however many trees the caller chose); they are
     /// normalized here exactly as the live `importances()` accessors do.
     pub fn finish(self, mut importances: Vec<f64>) -> FrozenForest {
-        assert_eq!(importances.len(), self.n_features);
+        let mut forest = self.forest;
+        assert_eq!(importances.len(), forest.n_features);
         assert!(
-            self.tree_starts.len() > 1,
+            !forest.tree_depths.is_empty(),
             "a frozen forest needs at least one tree"
         );
         let total: f64 = importances.iter().sum();
@@ -130,134 +156,194 @@ impl FrozenBuilder {
                 *v /= total;
             }
         }
-        // Compile the breadth-first twin once at freeze time: every batch
-        // entry point below routes through its interleaved kernels, while
-        // the preorder arrays keep serving the single-row live path.
-        let level = LevelForest::from_preorder(
-            &self.feature,
-            &self.threshold,
-            &self.skip,
-            &self.tree_starts,
-            self.n_features,
-        );
-        FrozenForest {
-            feature: self.feature,
-            threshold: self.threshold,
-            skip: self.skip,
-            tree_starts: self.tree_starts,
-            n_features: self.n_features,
-            importances,
-            level,
-        }
+        forest.importances = importances;
+        forest
     }
 }
 
-/// An immutable, flat forest — the single scoring representation used by
-/// serve snapshots, the eval batch paths, and the CLI.
+/// An immutable, flat, breadth-first forest — the single scoring
+/// representation used by serve snapshots, the eval batch paths, and the
+/// CLI.
+///
+/// Node `i` carries `feature[i]` / `threshold[i]` and two absolute child
+/// indices: `lo[i]` is taken when `x[feature] <= threshold`, `hi[i]`
+/// otherwise. A leaf points both edges at itself and keeps its
+/// contribution in `value[i]`.
 ///
 /// Build one with `freeze()` on [`crate::DecisionTree`],
 /// [`crate::RandomForest`], or the online tree/forest in `orfpred-core`.
 #[derive(Clone, Debug)]
 pub struct FrozenForest {
-    /// Split feature per node; [`LEAF`] marks a leaf.
+    /// Split feature per node; leaves store 0 (a safe, never-routing read).
     feature: Vec<u16>,
-    /// Split threshold per internal node; the leaf *value* per leaf.
+    /// Split threshold per internal node; leaves store 0.0.
     threshold: Vec<f32>,
-    /// Right-child index per internal node (left child is `i + 1`).
-    skip: Vec<u32>,
-    /// Node-pool offsets: tree `t` occupies `tree_starts[t]..tree_starts[t+1]`.
+    /// Next node when `x[feature] <= threshold`; for leaves, the node itself.
+    lo: Vec<u32>,
+    /// Next node otherwise; for leaves, the node itself.
+    hi: Vec<u32>,
+    /// Leaf value at leaf nodes, 0.0 at internal nodes.
+    value: Vec<f32>,
+    /// Node-pool offsets: tree `t` occupies `tree_starts[t]..tree_starts[t+1]`
+    /// in breadth-first order, root first.
     tree_starts: Vec<u32>,
+    /// Deepest leaf per tree — the number of level steps after which every
+    /// row is guaranteed to sit on (or spin at) a leaf.
+    tree_depths: Vec<u32>,
     n_features: usize,
     /// Normalized per-feature importances captured at freeze time.
     importances: Vec<f64>,
-    /// The breadth-first twin of the same trees — the batch kernels
-    /// (`score_batch` / `score_rows` / `score_columns`) run on this layout.
-    level: LevelForest,
 }
 
 impl FrozenForest {
-    /// Walk one tree from its pool offset. The left child is the next node,
-    /// so runs of left descents stay within a cache line.
-    ///
-    /// # Safety
-    ///
-    /// Requires `start` to be a `tree_starts` entry below the node count and
-    /// `x.len() == self.n_features`. In-bounds access then follows from the
-    /// builder's invariants: the three node arrays are pushed in lockstep
-    /// (equal lengths); every split asserts `feature < n_features` at emit;
-    /// preorder layout puts a split's left subtree at `at + 1` and patches
-    /// `skip[at]` to its right subtree's first node, both inside the pool;
-    /// and every descent strictly increases `at` toward a subtree's final
-    /// node, which is a leaf — so the loop terminates without running off
-    /// the arrays.
-    // SAFETY: sound to *define* under the documented preconditions — every
-    // `get_unchecked` below stays in bounds because the builder pushes the
-    // three node arrays in lockstep, asserts `feature < n_features` at
-    // emit, and patches `skip` to in-pool preorder offsets, while `at`
-    // strictly increases toward a terminating leaf (see `# Safety` above
-    // for what callers must uphold).
-    #[inline]
-    unsafe fn score_tree(&self, start: usize, x: &[f32]) -> f32 {
-        let mut at = start;
-        loop {
-            let f = *self.feature.get_unchecked(at);
-            let thr = *self.threshold.get_unchecked(at);
-            if f == LEAF {
-                return thr;
-            }
-            at = if *x.get_unchecked(f as usize) <= thr {
-                at + 1
-            } else {
-                *self.skip.get_unchecked(at) as usize
-            };
-        }
+    fn push_node(&mut self, feature: u16, threshold: f32, lo: u32, hi: u32, value: f32) {
+        self.feature.push(feature);
+        self.threshold.push(threshold);
+        self.lo.push(lo);
+        self.hi.push(hi);
+        self.value.push(value);
     }
 
-    /// Ensemble score of one (scaled) row: mean leaf value over the trees,
-    /// summed in tree order — bit-identical to the live ensembles.
+    /// Ensemble score of one (scaled) row: each tree is walked from its root
+    /// to the first node that loops to itself, and the leaf values are
+    /// summed in tree order before one division — bit-identical to the live
+    /// ensembles. Every index is bounds-checked; the walk terminates because
+    /// a split's children always sit after it.
     pub fn score(&self, x: &[f32]) -> f32 {
         assert_eq!(x.len(), self.n_features, "feature dimension mismatch");
         let mut sum = 0.0f32;
-        for t in 0..self.n_trees() {
-            // SAFETY: `x` is dimension-checked above and `tree_starts[t]`
-            // for t < n_trees is a valid pool offset by construction.
-            sum += unsafe { self.score_tree(self.tree_starts[t] as usize, x) };
+        for &root in &self.tree_starts[..self.n_trees()] {
+            let mut at = root as usize;
+            let mut lo = self.lo[at] as usize;
+            while lo != at {
+                // A split's right child is `hi == lo + 1`: stepping by the
+                // comparison keeps the walk free of a data-dependent branch.
+                // NaN compares false and goes right, like the live walkers.
+                let left = x[self.feature[at] as usize] <= self.threshold[at];
+                at = lo + usize::from(!left);
+                lo = self.lo[at] as usize;
+            }
+            sum += self.value[at];
         }
         sum / self.n_trees() as f32
-    }
-
-    /// Batch prediction over the rows of a [`Matrix`]: the breadth-first
-    /// interleaved kernel ([`LevelForest`]), lane blocks advancing level by
-    /// level with large batches fanned over the available cores. Every row
-    /// scores bit-identically to [`FrozenForest::score`].
-    pub fn score_batch(&self, rows: &Matrix) -> Vec<f32> {
-        self.level.score_matrix(rows)
-    }
-
-    /// Batch prediction over borrowed rows (same kernel as
-    /// [`Self::score_batch`]).
-    pub fn score_rows(&self, rows: &[&[f32]]) -> Vec<f32> {
-        self.level.score_rows(rows)
-    }
-
-    /// Batch prediction over column-major storage (one slice per feature,
-    /// equal lengths) — the telemetry-store replay path, which scores
-    /// decoded segments without materializing row vectors. The gather reads
-    /// `cols[f][i]` instead of `row[f]`; routing, tree order, and summation
-    /// are unchanged, so results are bit-identical to the row paths.
-    pub fn score_columns(&self, cols: &[&[f32]]) -> Vec<f32> {
-        self.level.score_columns(cols)
-    }
-
-    /// The breadth-first layout compiled at freeze time (explicit-thread
-    /// batch entry points and layout inspection live there).
-    pub fn level(&self) -> &LevelForest {
-        &self.level
     }
 
     /// Hard prediction at vote threshold `tau`.
     pub fn predict(&self, x: &[f32], tau: f32) -> bool {
         self.score(x) >= tau
+    }
+
+    /// The interleaved block kernel: advance [`LANES`] rows together one
+    /// tree level per step, gathering each lane's feature via `fetch`.
+    ///
+    /// # Safety
+    ///
+    /// `fetch(lane, f)` must be in-bounds for every `lane < LANES` and
+    /// every `f < self.n_features` (the two range wrappers check row and
+    /// column dimensions before calling). Node indices stay in-bounds
+    /// because [`FrozenBuilder::add_tree`] — the only code that writes the
+    /// node arrays — sets `lo`/`hi` to absolute offsets inside the same
+    /// tree's pool range and lets leaves self-loop, so a cursor never
+    /// leaves the pool.
+    #[inline(always)]
+    // SAFETY: sound iff `fetch(lane, f)` is in-bounds for every lane < LANES
+    // and f < n_features — the `# Safety` contract above, upheld by the two
+    // length-checked wrappers (`score_rows_range`, `score_columns_range`).
+    unsafe fn score_block<F: Fn(usize, usize) -> f32>(&self, fetch: F, out: &mut [f32]) {
+        let mut acc = [0.0f32; LANES];
+        for t in 0..self.n_trees() {
+            // SAFETY: t < n_trees, so tree_starts[t] and tree_depths[t]
+            // exist; the root offset is a valid pool index by construction.
+            let root = *self.tree_starts.get_unchecked(t);
+            let depth = *self.tree_depths.get_unchecked(t);
+            let mut cur = [root; LANES];
+            for _ in 0..depth {
+                for (l, c) in cur.iter_mut().enumerate() {
+                    let at = *c as usize;
+                    // SAFETY: `at` starts at a tree root and only ever moves
+                    // through `lo`/`hi`, which the builder fills with
+                    // absolute in-pool indices (leaves point at themselves),
+                    // so every node-array read below is in bounds. `feature`
+                    // is < n_features for splits and 0 for leaves, so the
+                    // caller-guaranteed `fetch` contract covers the gather.
+                    let f = *self.feature.get_unchecked(at) as usize;
+                    let thr = *self.threshold.get_unchecked(at);
+                    let lo = *self.lo.get_unchecked(at);
+                    let hi = *self.hi.get_unchecked(at);
+                    let v = fetch(l, f);
+                    *c = if v <= thr { lo } else { hi };
+                }
+            }
+            for l in 0..LANES {
+                // SAFETY: cursors are in-pool (argument above).
+                acc[l] += *self.value.get_unchecked(cur[l] as usize);
+            }
+        }
+        let n_trees = self.n_trees() as f32;
+        for l in 0..LANES {
+            out[l] = acc[l] / n_trees;
+        }
+    }
+
+    /// Score a contiguous run of borrowed rows into `out` on the calling
+    /// thread. Full lane blocks go through the interleaved kernel; the tail
+    /// goes through the single-row walk.
+    pub(crate) fn score_rows_range(&self, rows: &[&[f32]], out: &mut [f32]) {
+        debug_assert_eq!(rows.len(), out.len());
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(r.len(), self.n_features, "row {i}: feature dimension");
+        }
+        let n = rows.len();
+        let full = n - n % LANES;
+        for base in (0..full).step_by(LANES) {
+            let block: &[&[f32]] = &rows[base..base + LANES];
+            // SAFETY: every row's length was asserted equal to n_features
+            // above, and `f < n_features` per the kernel's contract, so the
+            // gather below is in bounds.
+            unsafe {
+                self.score_block(
+                    |l, f| *block.get_unchecked(l).get_unchecked(f),
+                    &mut out[base..base + LANES],
+                );
+            }
+        }
+        for i in full..n {
+            out[i] = self.score(rows[i]);
+        }
+    }
+
+    /// Score the column-major rows `[base, base + out.len())` into `out` on
+    /// the calling thread (same split between kernel and tail as
+    /// [`Self::score_rows_range`]).
+    pub(crate) fn score_columns_range(&self, cols: &[&[f32]], base: usize, out: &mut [f32]) {
+        let n = out.len();
+        assert_eq!(cols.len(), self.n_features, "feature dimension mismatch");
+        for c in cols {
+            assert!(
+                c.len() >= base + n,
+                "feature column shorter than the rows scored"
+            );
+        }
+        let full = n - n % LANES;
+        for start in (0..full).step_by(LANES) {
+            let row0 = base + start;
+            // SAFETY: `f < n_features == cols.len()` per the kernel's
+            // contract, and `row0 + l < base + n <= cols[f].len()` was
+            // asserted above.
+            unsafe {
+                self.score_block(
+                    |l, f| *cols.get_unchecked(f).get_unchecked(row0 + l),
+                    &mut out[start..start + LANES],
+                );
+            }
+        }
+        let mut row = vec![0.0f32; self.n_features];
+        for i in full..n {
+            for (f, c) in cols.iter().enumerate() {
+                row[f] = c[base + i];
+            }
+            out[i] = self.score(&row);
+        }
     }
 
     /// Number of trees.
@@ -270,9 +356,13 @@ impl FrozenForest {
         self.feature.len()
     }
 
-    /// Total leaves across all trees.
+    /// Total leaves across all trees (nodes whose child edges self-loop).
     pub fn n_leaves(&self) -> usize {
-        self.feature.iter().filter(|&&f| f == LEAF).count()
+        self.lo
+            .iter()
+            .enumerate()
+            .filter(|&(i, &lo)| lo as usize == i)
+            .count()
     }
 
     /// Number of input features.
@@ -296,18 +386,19 @@ impl FrozenForest {
         for w in self.tree_starts.windows(2) {
             let (s, e) = (w[0] as usize, w[1] as usize);
             depth[s] = 0;
-            // Preorder layout ⇒ both children of node i sit above i, so one
-            // forward sweep settles every depth before it is read.
+            // Breadth-first layout ⇒ children sit strictly after their
+            // parent, so one forward sweep settles every depth before it is
+            // read.
             for i in s..e {
-                if self.feature[i] == LEAF {
+                if self.lo[i] as usize == i {
                     let d = depth[i] as usize;
                     if hist.len() <= d {
                         hist.resize(d + 1, 0);
                     }
                     hist[d] += 1;
                 } else {
-                    depth[i + 1] = depth[i] + 1;
-                    depth[self.skip[i] as usize] = depth[i] + 1;
+                    depth[self.lo[i] as usize] = depth[i] + 1;
+                    depth[self.hi[i] as usize] = depth[i] + 1;
                 }
             }
         }
@@ -316,16 +407,17 @@ impl FrozenForest {
 
     /// Deepest leaf in the forest.
     pub fn max_depth(&self) -> usize {
-        self.depth_histogram().len().saturating_sub(1)
+        self.tree_depths.iter().copied().max().unwrap_or(0) as usize
     }
 
-    /// Heap footprint of the packed arrays, in bytes.
+    /// Heap footprint of every array the forest owns, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.feature.len() * std::mem::size_of::<u16>()
-            + self.threshold.len() * std::mem::size_of::<f32>()
-            + self.skip.len() * std::mem::size_of::<u32>()
-            + self.tree_starts.len() * std::mem::size_of::<u32>()
-            + self.importances.len() * std::mem::size_of::<f64>()
+        use std::mem::size_of;
+        self.feature.len() * size_of::<u16>()
+            + (self.threshold.len() + self.value.len()) * size_of::<f32>()
+            + (self.lo.len() + self.hi.len()) * size_of::<u32>()
+            + (self.tree_starts.len() + self.tree_depths.len()) * size_of::<u32>()
+            + self.importances.len() * size_of::<f64>()
     }
 
     /// Normalized per-feature importances captured at freeze time (sum to 1
@@ -353,6 +445,7 @@ impl FrozenForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orfpred_util::Matrix;
 
     /// Hand-build: tree 0 = stump splitting on feature 1 at 0.5
     /// (left leaf 0.25, right leaf 0.75); tree 1 = single leaf 1.0.
@@ -398,8 +491,9 @@ mod tests {
         // Tree 0: two leaves at depth 1; tree 1: one leaf at depth 0.
         assert_eq!(f.depth_histogram(), vec![1, 2]);
         assert_eq!(f.max_depth(), 1);
-        // 4 nodes · (2 + 4 + 4) bytes + 3 starts · 4 + 3 importances · 8.
-        assert_eq!(f.memory_bytes(), 4 * 10 + 12 + 24);
+        // 4 nodes · (2 + 4 + 4 + 4 + 4) bytes + 3 starts · 4 + 2 depths · 4
+        // + 3 importances · 8.
+        assert_eq!(f.memory_bytes(), 4 * 18 + 12 + 8 + 24);
     }
 
     #[test]
@@ -442,5 +536,174 @@ mod tests {
     #[should_panic(expected = "at least one tree")]
     fn empty_forest_is_rejected() {
         let _ = FrozenBuilder::new(2).finish(vec![0.0, 0.0]);
+    }
+
+    /// Splits per spine; each spine is this many levels deep.
+    const SPINE: u32 = 20;
+    /// Features per spine: the left spine tests `0..3`, its mirror `3..6`.
+    const SPINE_FEATURES: usize = 3;
+
+    /// Value of the leaf a row reaches when it first turns off a spine at
+    /// split `turn` (`turn == SPINE` means it never turns). Small dyadic
+    /// fractions, so sums of them are exact in f32.
+    fn spine_leaf(turn: u32, scale: f32) -> f32 {
+        (turn + 1) as f32 / scale
+    }
+
+    /// Three lopsided trees over 6 features: a left spine [`SPINE`] levels
+    /// deep with a leaf on every right edge, its mirror (a right spine with a
+    /// leaf on every left edge), and a tree that is only a leaf.
+    ///
+    /// Spine split `k` sits at source index `2k` and tests feature
+    /// `k % 3` (mirror: `3 + k % 3`); its off-spine leaf is `2k + 1`, and
+    /// the leaf ending the spine is `2 * SPINE`. Left-spine thresholds fall
+    /// (`SPINE - k`) and mirror thresholds rise (`k`), so one value per
+    /// feature decides where a row turns.
+    fn lopsided_forest() -> FrozenForest {
+        let mut b = FrozenBuilder::new(2 * SPINE_FEATURES);
+        b.add_tree(0, &mut |i| {
+            let k = i / 2;
+            if i == 2 * SPINE {
+                SourceNode::Leaf {
+                    value: spine_leaf(SPINE, 32.0),
+                }
+            } else if i % 2 == 1 {
+                SourceNode::Leaf {
+                    value: spine_leaf(k, 32.0),
+                }
+            } else {
+                SourceNode::Split {
+                    feature: (k as usize % SPINE_FEATURES) as u16,
+                    threshold: (SPINE - k) as f32,
+                    left: i + 2,
+                    right: i + 1,
+                }
+            }
+        });
+        b.add_tree(0, &mut |i| {
+            let k = i / 2;
+            if i == 2 * SPINE {
+                SourceNode::Leaf {
+                    value: spine_leaf(SPINE, 64.0),
+                }
+            } else if i % 2 == 1 {
+                SourceNode::Leaf {
+                    value: spine_leaf(k, 64.0),
+                }
+            } else {
+                SourceNode::Split {
+                    feature: (SPINE_FEATURES + k as usize % SPINE_FEATURES) as u16,
+                    threshold: k as f32,
+                    left: i + 1,
+                    right: i + 2,
+                }
+            }
+        });
+        b.add_tree(0, &mut |_| SourceNode::Leaf { value: 0.5 });
+        b.finish(vec![1.0; 2 * SPINE_FEATURES])
+    }
+
+    /// A row that turns off the left spine at split `left_turn` and off the
+    /// mirror at `right_turn` (`SPINE` = never turns, ending on the deepest
+    /// leaf), with its hand-computed ensemble score.
+    fn spine_row(left_turn: u32, right_turn: u32) -> (Vec<f32>, f32) {
+        // Features default to "stay on the spine": far below every
+        // left-spine threshold, far above every mirror threshold.
+        let mut x = vec![-1e9f32; SPINE_FEATURES];
+        x.extend([1e9f32; SPINE_FEATURES]);
+        if left_turn < SPINE {
+            // Above threshold `SPINE - left_turn`, at or below every earlier
+            // threshold of the same feature.
+            x[left_turn as usize % SPINE_FEATURES] = (SPINE - left_turn) as f32 + 0.5;
+        }
+        if right_turn < SPINE {
+            x[SPINE_FEATURES + right_turn as usize % SPINE_FEATURES] = right_turn as f32 - 0.5;
+        }
+        let sum = spine_leaf(left_turn, 32.0) + spine_leaf(right_turn, 64.0) + 0.5;
+        (x, sum / 3.0)
+    }
+
+    #[test]
+    fn layout_facts_hold_on_lopsided_trees() {
+        let f = lopsided_forest();
+        assert_eq!(f.tree_node_counts(), vec![41, 41, 1]);
+        assert_eq!(f.tree_depths, vec![SPINE, SPINE, 0]);
+        for t in 0..f.n_trees() {
+            let (start, end) = (f.tree_starts[t] as usize, f.tree_starts[t + 1] as usize);
+            // Depths by a walk of the child edges from the root, independent
+            // of the node order the builder chose.
+            let mut depth = vec![None; end - start];
+            depth[0] = Some(0u32);
+            let mut frontier = vec![start];
+            let mut deepest_leaf = 0;
+            let (mut leaves, mut splits) = (0, 0);
+            while let Some(i) = frontier.pop() {
+                let d = depth[i - start].expect("reached from its parent");
+                let (lo, hi) = (f.lo[i] as usize, f.hi[i] as usize);
+                if lo == i {
+                    assert_eq!(hi, i, "node {i}: a leaf loops on both edges");
+                    assert_eq!(f.feature[i], 0, "node {i}: leaves read feature 0");
+                    leaves += 1;
+                    deepest_leaf = deepest_leaf.max(d);
+                    continue;
+                }
+                splits += 1;
+                assert!(
+                    (f.feature[i] as usize) < f.n_features(),
+                    "node {i}: split feature in range"
+                );
+                assert_eq!(f.value[i], 0.0, "node {i}: splits carry no value");
+                assert_eq!(hi, lo + 1, "node {i}: children are adjacent");
+                for child in [lo, hi] {
+                    assert!(
+                        i < child && child < end,
+                        "node {i}: child {child} outside ({i}, {end}) of tree {t}"
+                    );
+                    assert!(depth[child - start].is_none(), "node {child}: one parent");
+                    depth[child - start] = Some(d + 1);
+                    frontier.push(child);
+                }
+            }
+            assert!(depth.iter().all(Option::is_some), "tree {t}: all reachable");
+            assert!(
+                depth.windows(2).all(|w| w[0] <= w[1]),
+                "tree {t}: nodes in level order"
+            );
+            assert_eq!(leaves, splits + 1, "tree {t}: binary tree");
+            assert_eq!(f.tree_depths[t], deepest_leaf, "tree {t}: deepest leaf");
+        }
+    }
+
+    #[test]
+    fn rows_ending_at_every_depth_score_exactly_on_every_path() {
+        let f = lopsided_forest();
+        // Row r leaves the left spine at depth r + 1 and its mirror at depth
+        // SPINE + 1 - r (both capped at SPINE): together, every depth of
+        // both spines.
+        let cases: Vec<(Vec<f32>, f32)> = (0..=SPINE).map(|r| spine_row(r, SPINE - r)).collect();
+        let rows: Vec<&[f32]> = cases.iter().map(|(x, _)| x.as_slice()).collect();
+        let cols: Vec<Vec<f32>> = (0..f.n_features())
+            .map(|c| rows.iter().map(|r| r[c]).collect())
+            .collect();
+        let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
+        for (r, (x, want)) in cases.iter().enumerate() {
+            // Single-row walk.
+            assert_eq!(f.score(x).to_bits(), want.to_bits(), "row {r}: single");
+            // Short tail: a one-row batch never fills a lane block.
+            let tail = f.score_rows_threaded(&[x.as_slice()], 1);
+            assert_eq!(tail[0].to_bits(), want.to_bits(), "row {r}: tail");
+            // 8-lane block: the row beside its seven successors (cyclically),
+            // through the row and the column gathers.
+            let block: Vec<&[f32]> = (0..LANES).map(|l| rows[(r + l) % rows.len()]).collect();
+            let by_rows = f.score_rows_threaded(&block, 1);
+            assert_eq!(by_rows[0].to_bits(), want.to_bits(), "row {r}: block");
+            let block_cols: Vec<Vec<f32>> = col_refs
+                .iter()
+                .map(|c| (0..LANES).map(|l| c[(r + l) % rows.len()]).collect())
+                .collect();
+            let block_col_refs: Vec<&[f32]> = block_cols.iter().map(|c| c.as_slice()).collect();
+            let by_cols = f.score_columns_threaded(&block_col_refs, 1);
+            assert_eq!(by_cols[0].to_bits(), want.to_bits(), "row {r}: columns");
+        }
     }
 }

@@ -1,39 +1,43 @@
-//! Breadth-first batch scoring kernels: the level-order twin of the
-//! preorder [`crate::FrozenForest`] layout, built for *throughput*.
+//! Batch scoring over the [`crate::FrozenForest`] arrays, built for
+//! *throughput*: the public batch entry points, and their fan-out over
+//! worker threads.
 //!
-//! The preorder layout is ideal for one row at a time — descending left is
-//! a cache-line walk — but scoring a batch row-by-row leaves the CPU idle:
-//! each traversal step is a serial dependency chain (load node → load
-//! feature → compare → compute next index), so a single row exposes almost
-//! no instruction-level parallelism and every node fetch is paid once per
-//! row. A [`LevelForest`] restructures the same trees for batches:
+//! [`crate::FrozenForest::score`] walks one row at a time, and each step of
+//! that walk is a serial dependency chain (load node → load feature →
+//! compare → compute next index), so a single row exposes almost no
+//! instruction-level parallelism and every node fetch is paid once per row.
+//! The batch paths keep the layout and change the traversal, through the
+//! interleaved block kernel that sits beside the builder in
+//! [`crate::frozen`] (the node arrays it reads unchecked are private to that
+//! module):
 //!
-//! * **level-order node layout** — each tree's nodes are re-emitted level
-//!   by level, so while a block of rows is at depth `d` every node they can
-//!   possibly touch sits in one contiguous stretch of the arrays and the
-//!   fetches amortize across the block;
 //! * **interleaved multi-row traversal** — [`LANES`] rows advance together
 //!   one level per step. The per-row dependency chains are independent, so
 //!   the out-of-order core overlaps them; the inner compare-and-advance
 //!   loop is a fixed-trip-count, branch-free select over flat arrays that
 //!   the autovectorizer can chew on;
+//! * **level-order locality** — the builder lays each tree out breadth
+//!   first, so while a block of rows is at depth `d` every node they can
+//!   possibly touch sits in one contiguous stretch of the arrays and the
+//!   fetches amortize across the block;
 //! * **self-looping leaves** — a leaf's two child slots both point at the
 //!   leaf itself, so rows that finish early simply spin in place until the
-//!   block completes the tree's deepest level. No masks, no compaction, no
-//!   divergence bookkeeping;
+//!   block completes the tree's deepest level (`tree_depths`). No masks, no
+//!   compaction, no divergence bookkeeping;
 //! * **bit-identical scores** — routing is the same `x[f] <= thr` the live
-//!   walkers use (NaN routes right, exactly like the preorder kernel), leaf
-//!   values are copied verbatim, and each row's tree contributions are
-//!   summed in tree order before one division — so every score is
-//!   bit-identical to [`crate::FrozenForest::score`] and therefore to the
-//!   live models (`tests/batch_equiv.rs` pins this as a shrinking
-//!   property).
+//!   walkers use (NaN routes right), leaf values are copied verbatim, and
+//!   each row's tree contributions are summed in tree order before one
+//!   division; rows that do not fill a block go through the single-row
+//!   walk. Every score is therefore bit-identical to
+//!   [`crate::FrozenForest::score`] and to the live models
+//!   (`tests/batch_equiv.rs` pins this as a shrinking property).
 //!
 //! Batches large enough to amortize thread startup fan out over
 //! `std::thread::scope` with each worker writing a disjoint slice of the
 //! output; per-row results do not depend on the split, so the output is
 //! bit-identical for every thread count (including 1).
 
+use crate::FrozenForest;
 use orfpred_util::Matrix;
 
 /// Rows advanced together per tree level. Eight keeps the cursor block and
@@ -45,296 +49,29 @@ pub const LANES: usize = 8;
 /// costs far more than scoring a few thousand rows.
 const MIN_ROWS_PER_THREAD: usize = 4096;
 
-/// A forest re-laid breadth-first for the interleaved batch kernels.
-///
-/// Node `i` carries `feature[i]` / `threshold[i]` and two absolute child
-/// indices: `lo[i]` is taken when `x[feature] <= threshold`, `hi[i]`
-/// otherwise — the same routing rule (and the same NaN-goes-right
-/// behaviour) as the preorder kernel, just with both edges explicit so a
-/// leaf can point both at itself. `value[i]` holds the leaf contribution
-/// (internal nodes store 0.0 there and never read it).
-#[derive(Clone, Debug)]
-pub struct LevelForest {
-    /// Split feature per node; leaves store 0 (a safe, never-routing read).
-    feature: Vec<u16>,
-    /// Split threshold per internal node; leaves store 0.0.
-    threshold: Vec<f32>,
-    /// Next node when `x[feature] <= threshold`; for leaves, the node itself.
-    lo: Vec<u32>,
-    /// Next node otherwise; for leaves, the node itself.
-    hi: Vec<u32>,
-    /// Leaf value at leaf nodes, 0.0 at internal nodes.
-    value: Vec<f32>,
-    /// Node-pool offsets: tree `t` occupies `tree_starts[t]..tree_starts[t+1]`
-    /// in breadth-first order, root first.
-    tree_starts: Vec<u32>,
-    /// Deepest leaf per tree — the number of advance steps after which every
-    /// lane is guaranteed to sit on (or spin at) a leaf.
-    tree_depths: Vec<u32>,
-    n_features: usize,
-}
-
-impl LevelForest {
-    /// Re-emit a preorder node arena (the [`crate::FrozenForest`] arrays)
-    /// breadth-first. Pure layout transform: same trees, same thresholds,
-    /// same leaf values. Called once by `FrozenBuilder::finish`.
-    pub(crate) fn from_preorder(
-        pre_feature: &[u16],
-        pre_threshold: &[f32],
-        pre_skip: &[u32],
-        starts: &[u32],
-        n_features: usize,
-    ) -> LevelForest {
-        let n_nodes = pre_feature.len();
-        let mut out = LevelForest {
-            feature: Vec::with_capacity(n_nodes),
-            threshold: Vec::with_capacity(n_nodes),
-            lo: Vec::with_capacity(n_nodes),
-            hi: Vec::with_capacity(n_nodes),
-            value: Vec::with_capacity(n_nodes),
-            tree_starts: vec![0],
-            tree_depths: Vec::with_capacity(starts.len().saturating_sub(1)),
-            n_features,
-        };
-        let mut new_index = vec![0u32; n_nodes];
-        for w in starts.windows(2) {
-            let (s, e) = (w[0] as usize, w[1] as usize);
-            let base = out.feature.len() as u32;
-            // Pass 1: BFS over the preorder arena assigns level-order slots
-            // (a queue of preorder indices visited in level order).
-            let mut order: Vec<u32> = Vec::with_capacity(e - s);
-            let mut depth_of: Vec<u32> = Vec::with_capacity(e - s);
-            order.push(s as u32);
-            depth_of.push(0);
-            let mut head = 0usize;
-            let mut max_depth = 0u32;
-            while head < order.len() {
-                let pre = order[head] as usize;
-                let d = depth_of[head];
-                new_index[pre] = base + head as u32;
-                max_depth = max_depth.max(d);
-                if pre_feature[pre] != crate::frozen::LEAF {
-                    // Preorder: left child is the next node, right child is
-                    // the patched skip offset.
-                    order.push(pre as u32 + 1);
-                    depth_of.push(d + 1);
-                    order.push(pre_skip[pre]);
-                    depth_of.push(d + 1);
-                }
-                head += 1;
-            }
-            // Pass 2: emit nodes in the assigned level order.
-            for &pre in &order {
-                let pre = pre as usize;
-                let slot = out.feature.len() as u32;
-                if pre_feature[pre] == crate::frozen::LEAF {
-                    out.feature.push(0);
-                    out.threshold.push(0.0);
-                    out.lo.push(slot);
-                    out.hi.push(slot);
-                    out.value.push(pre_threshold[pre]);
-                } else {
-                    out.feature.push(pre_feature[pre]);
-                    out.threshold.push(pre_threshold[pre]);
-                    out.lo.push(new_index[pre + 1]);
-                    out.hi.push(new_index[pre_skip[pre] as usize]);
-                    out.value.push(0.0);
-                }
-            }
-            out.tree_starts.push(out.feature.len() as u32);
-            out.tree_depths.push(max_depth);
-        }
-        out
+impl FrozenForest {
+    /// Batch prediction over the rows of a [`Matrix`]: lane blocks advancing
+    /// level by level, with large batches fanned over the available cores.
+    /// Every row scores bit-identically to [`FrozenForest::score`].
+    pub fn score_batch(&self, rows: &Matrix) -> Vec<f32> {
+        let refs: Vec<&[f32]> = rows.rows().collect();
+        self.score_rows(&refs)
     }
 
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.tree_starts.len() - 1
+    /// Batch prediction over borrowed rows (same kernel as
+    /// [`Self::score_batch`]).
+    pub fn score_rows(&self, rows: &[&[f32]]) -> Vec<f32> {
+        self.score_rows_threaded(rows, auto_threads(rows.len()))
     }
 
-    /// Total nodes across all trees (equals the preorder count — the
-    /// layout transform neither adds nor drops nodes).
-    pub fn n_nodes(&self) -> usize {
-        self.feature.len()
-    }
-
-    /// Total leaves (nodes whose child edges self-loop).
-    pub fn n_leaves(&self) -> usize {
-        self.lo
-            .iter()
-            .enumerate()
-            .filter(|&(i, &lo)| lo as usize == i)
-            .count()
-    }
-
-    /// Number of input features.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Deepest leaf in the forest.
-    pub fn max_depth(&self) -> usize {
-        self.tree_depths.iter().copied().max().unwrap_or(0) as usize
-    }
-
-    /// Leaf-depth histogram: `hist[d]` = leaves at depth `d` (root = 0).
-    /// Must agree exactly with the preorder
-    /// [`crate::FrozenForest::depth_histogram`].
-    pub fn depth_histogram(&self) -> Vec<u64> {
-        let mut hist: Vec<u64> = Vec::new();
-        let mut depth = vec![0u32; self.feature.len()];
-        for w in self.tree_starts.windows(2) {
-            let (s, e) = (w[0] as usize, w[1] as usize);
-            depth[s] = 0;
-            // Level order ⇒ children sit strictly after their parent, so a
-            // forward sweep settles every depth before it is read.
-            for i in s..e {
-                if self.lo[i] as usize == i {
-                    let d = depth[i] as usize;
-                    if hist.len() <= d {
-                        hist.resize(d + 1, 0);
-                    }
-                    hist[d] += 1;
-                } else {
-                    depth[self.lo[i] as usize] = depth[i] + 1;
-                    depth[self.hi[i] as usize] = depth[i] + 1;
-                }
-            }
-        }
-        hist
-    }
-
-    /// Heap footprint of the packed arrays, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.feature.len() * std::mem::size_of::<u16>()
-            + self.threshold.len() * std::mem::size_of::<f32>()
-            + self.lo.len() * std::mem::size_of::<u32>()
-            + self.hi.len() * std::mem::size_of::<u32>()
-            + self.value.len() * std::mem::size_of::<f32>()
-            + self.tree_starts.len() * std::mem::size_of::<u32>()
-            + self.tree_depths.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Score one row by walking levels (used for batch tails shorter than a
-    /// lane block). Bit-identical to [`crate::FrozenForest::score`]: same
-    /// routing, same tree-order summation, same final division.
-    pub fn score(&self, x: &[f32]) -> f32 {
-        assert_eq!(x.len(), self.n_features, "feature dimension mismatch");
-        let mut sum = 0.0f32;
-        for t in 0..self.n_trees() {
-            let mut at = self.tree_starts[t] as usize;
-            for _ in 0..self.tree_depths[t] {
-                let f = self.feature[at] as usize;
-                at = if x[f] <= self.threshold[at] {
-                    self.lo[at] as usize
-                } else {
-                    self.hi[at] as usize
-                };
-            }
-            sum += self.value[at];
-        }
-        sum / self.n_trees() as f32
-    }
-
-    /// The interleaved block kernel: advance [`LANES`] rows together one
-    /// tree level per step, gathering each lane's feature via `fetch`.
-    ///
-    /// # Safety
-    ///
-    /// `fetch(lane, f)` must be in-bounds for every `lane < LANES` and
-    /// every `f < self.n_features` (the public wrappers check row/column
-    /// dimensions before calling). Node indices stay in-bounds because the
-    /// builder writes `lo`/`hi` as absolute offsets inside the same tree's
-    /// pool range and leaves self-loop, so a cursor never leaves the pool.
-    #[inline(always)]
-    // SAFETY: sound iff `fetch(lane, f)` is in-bounds for every lane < LANES
-    // and f < n_features — the `# Safety` contract above, upheld by the two
-    // length-checked wrappers (`score_rows_range`, `score_columns_range`).
-    unsafe fn score_block<F: Fn(usize, usize) -> f32>(&self, fetch: F, out: &mut [f32]) {
-        let mut acc = [0.0f32; LANES];
-        for t in 0..self.n_trees() {
-            // SAFETY: t < n_trees, so tree_starts[t] and tree_depths[t]
-            // exist; the root offset is a valid pool index by construction.
-            let root = *self.tree_starts.get_unchecked(t);
-            let depth = *self.tree_depths.get_unchecked(t);
-            let mut cur = [root; LANES];
-            for _ in 0..depth {
-                for (l, c) in cur.iter_mut().enumerate() {
-                    let at = *c as usize;
-                    // SAFETY: `at` starts at a tree root and only ever moves
-                    // through `lo`/`hi`, which the builder fills with
-                    // absolute in-pool indices (leaves point at themselves),
-                    // so every node-array read below is in bounds. `feature`
-                    // is < n_features for splits and 0 for leaves, so the
-                    // caller-guaranteed `fetch` contract covers the gather.
-                    let f = *self.feature.get_unchecked(at) as usize;
-                    let thr = *self.threshold.get_unchecked(at);
-                    let lo = *self.lo.get_unchecked(at);
-                    let hi = *self.hi.get_unchecked(at);
-                    let v = fetch(l, f);
-                    *c = if v <= thr { lo } else { hi };
-                }
-            }
-            for l in 0..LANES {
-                // SAFETY: cursors are in-pool (argument above).
-                acc[l] += *self.value.get_unchecked(cur[l] as usize);
-            }
-        }
-        let n_trees = self.n_trees() as f32;
-        for l in 0..LANES {
-            out[l] = acc[l] / n_trees;
-        }
-    }
-
-    /// Score a contiguous run of borrowed rows into `out` (single thread).
-    /// Full lane blocks go through the interleaved kernel; the tail walks
-    /// levels row by row. Callers must have length-checked every row.
-    fn score_rows_range(&self, rows: &[&[f32]], out: &mut [f32]) {
-        debug_assert_eq!(rows.len(), out.len());
-        let n = rows.len();
-        let full = n - n % LANES;
-        for base in (0..full).step_by(LANES) {
-            let block: &[&[f32]] = &rows[base..base + LANES];
-            // SAFETY: every row's length was asserted equal to n_features
-            // by the public entry point, and `f < n_features` per the
-            // kernel's contract, so the gather below is in bounds.
-            unsafe {
-                self.score_block(
-                    |l, f| *block.get_unchecked(l).get_unchecked(f),
-                    &mut out[base..base + LANES],
-                );
-            }
-        }
-        for i in full..n {
-            out[i] = self.score(rows[i]);
-        }
-    }
-
-    /// Score a contiguous run of column-major rows `[base, base+len)` into
-    /// `out` (single thread). Callers must have checked that every column
-    /// slice is at least `base + len` long.
-    fn score_columns_range(&self, cols: &[&[f32]], base: usize, out: &mut [f32]) {
-        let n = out.len();
-        let full = n - n % LANES;
-        for start in (0..full).step_by(LANES) {
-            let row0 = base + start;
-            // SAFETY: `f < n_features == cols.len()` per the kernel's
-            // contract, and `row0 + l < base + n <= cols[f].len()` was
-            // checked by the public entry point.
-            unsafe {
-                self.score_block(
-                    |l, f| *cols.get_unchecked(f).get_unchecked(row0 + l),
-                    &mut out[start..start + LANES],
-                );
-            }
-        }
-        let mut row = vec![0.0f32; self.n_features];
-        for i in full..n {
-            for (f, c) in cols.iter().enumerate() {
-                row[f] = c[base + i];
-            }
-            out[i] = self.score(&row);
-        }
+    /// Batch prediction over column-major storage (one slice per feature,
+    /// equal lengths) — the telemetry-store replay path, which scores
+    /// decoded segments without materializing row vectors. The gather reads
+    /// `cols[f][i]` instead of `row[f]`; routing, tree order, and summation
+    /// are unchanged, so results are bit-identical to the row paths.
+    pub fn score_columns(&self, cols: &[&[f32]]) -> Vec<f32> {
+        let n = cols.first().map_or(0, |c| c.len());
+        self.score_columns_threaded(cols, auto_threads(n))
     }
 
     /// Batch-score borrowed rows with an explicit worker count. Rows are
@@ -343,9 +80,6 @@ impl LevelForest {
     /// the result is bit-identical for every `n_threads` (the bench pins
     /// this to 1 for per-thread numbers and to the core count for totals).
     pub fn score_rows_threaded(&self, rows: &[&[f32]], n_threads: usize) -> Vec<f32> {
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r.len(), self.n_features, "row {i}: feature dimension");
-        }
         let mut out = vec![0.0f32; rows.len()];
         let workers = n_threads.max(1).min(rows.len().div_ceil(LANES).max(1));
         if workers == 1 {
@@ -365,7 +99,6 @@ impl LevelForest {
     /// Batch-score column-major storage with an explicit worker count (see
     /// [`Self::score_rows_threaded`] for the determinism argument).
     pub fn score_columns_threaded(&self, cols: &[&[f32]], n_threads: usize) -> Vec<f32> {
-        assert_eq!(cols.len(), self.n_features, "feature dimension mismatch");
         let n = cols.first().map_or(0, |c| c.len());
         for c in cols {
             assert_eq!(c.len(), n, "ragged feature columns");
@@ -384,25 +117,6 @@ impl LevelForest {
         });
         out
     }
-
-    /// Batch-score borrowed rows, fanning out over the available cores for
-    /// large batches (small ones stay on the calling thread).
-    pub fn score_rows(&self, rows: &[&[f32]]) -> Vec<f32> {
-        self.score_rows_threaded(rows, auto_threads(rows.len()))
-    }
-
-    /// Batch-score the rows of a [`Matrix`].
-    pub fn score_matrix(&self, rows: &Matrix) -> Vec<f32> {
-        let refs: Vec<&[f32]> = rows.rows().collect();
-        self.score_rows(&refs)
-    }
-
-    /// Batch-score column-major storage (one slice per feature, equal
-    /// lengths) — the telemetry-store path, no row materialization.
-    pub fn score_columns(&self, cols: &[&[f32]]) -> Vec<f32> {
-        let n = cols.first().map_or(0, |c| c.len());
-        self.score_columns_threaded(cols, auto_threads(n))
-    }
 }
 
 /// Worker count for an auto-fanned batch: one per `MIN_ROWS_PER_THREAD`
@@ -416,7 +130,7 @@ fn auto_threads(n_rows: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frozen::{FrozenBuilder, FrozenForest, SourceNode};
+    use crate::frozen::{FrozenBuilder, SourceNode};
 
     /// Tree 0: split on f1 at 0.5 (left leaf 0.25 / right split on f0 at
     /// 0.3 → leaves 0.5, 0.75); tree 1: lone leaf 1.0. Depths differ so
@@ -445,30 +159,32 @@ mod tests {
     }
 
     #[test]
-    fn layout_counts_agree_with_preorder() {
+    fn layout_counts_match_the_hand_built_forest() {
         let f = forest();
-        let lv = f.level();
-        assert_eq!(lv.n_trees(), f.n_trees());
-        assert_eq!(lv.n_nodes(), f.n_nodes());
-        assert_eq!(lv.n_leaves(), f.n_leaves());
-        assert_eq!(lv.n_features(), f.n_features());
-        assert_eq!(lv.max_depth(), f.max_depth());
-        assert_eq!(lv.depth_histogram(), f.depth_histogram());
+        assert_eq!(f.n_trees(), 2);
+        assert_eq!(f.n_nodes(), 6);
+        assert_eq!(f.n_leaves(), 4);
+        assert_eq!(f.n_features(), 3);
+        assert_eq!(f.tree_node_counts(), vec![5, 1]);
+        assert_eq!(f.max_depth(), 2);
+        // Leaves: the lone leaf at depth 0, 0.25 at depth 1, 0.5 and 0.75
+        // at depth 2.
+        assert_eq!(f.depth_histogram(), vec![1, 1, 2]);
     }
 
     #[test]
-    fn single_row_walk_matches_preorder_bitwise() {
+    fn single_row_walk_matches_hand_computed_sums() {
         let f = forest();
-        let lv = f.level();
-        for x in [
-            [0.0f32, 0.2, 0.0],
-            [0.0, 0.9, 0.0],
-            [0.9, 0.9, 0.0],
-            [f32::NAN, 0.2, 0.0],
-            [0.2, f32::NAN, 0.0],
-            [f32::INFINITY, f32::NEG_INFINITY, 1e30],
+        for (x, leaf) in [
+            ([0.0f32, 0.2, 0.0], 0.25f32),
+            ([0.0, 0.9, 0.0], 0.5),
+            ([0.9, 0.9, 0.0], 0.75),
+            ([f32::NAN, 0.9, 0.0], 0.75),
+            ([0.2, f32::NAN, 0.0], 0.5),
+            ([f32::INFINITY, f32::NEG_INFINITY, 1e30], 0.25),
         ] {
-            assert_eq!(lv.score(&x).to_bits(), f.score(&x).to_bits(), "{x:?}");
+            let want = (leaf + 1.0) / 2.0;
+            assert_eq!(f.score(&x).to_bits(), want.to_bits(), "{x:?}");
         }
     }
 
@@ -476,19 +192,17 @@ mod tests {
     fn nan_routes_right_like_the_live_walkers() {
         let f = forest();
         // NaN on the split feature must take the `hi` edge (v <= thr is
-        // false), exactly like the preorder `else` branch.
+        // false) in the single-row walk and in the block kernel alike.
         let nan_row = [0.0f32, f32::NAN, 0.0];
         let hi_row = [0.0f32, 0.9, 0.0]; // routes right at the root too
-        assert_eq!(
-            f.level().score(&nan_row).to_bits(),
-            f.level().score(&hi_row).to_bits()
-        );
+        assert_eq!(f.score(&nan_row).to_bits(), f.score(&hi_row).to_bits());
+        let block = f.score_rows_threaded(&[&nan_row[..]; LANES], 1);
+        assert_eq!(block, vec![f.score(&hi_row); LANES]);
     }
 
     #[test]
     fn block_kernel_matches_single_row_at_every_batch_size() {
         let f = forest();
-        let lv = f.level();
         // Deterministic pseudo-rows including NaN and out-of-range values.
         let make_row = |i: usize| -> Vec<f32> {
             let v = |k: usize| ((i * 31 + k * 17) % 13) as f32 / 6.0 - 0.4;
@@ -501,7 +215,7 @@ mod tests {
         for n in [0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 5] {
             let rows: Vec<Vec<f32>> = (0..n).map(make_row).collect();
             let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-            let got = lv.score_rows(&refs);
+            let got = f.score_rows(&refs);
             assert_eq!(got.len(), n);
             for (i, r) in refs.iter().enumerate() {
                 assert_eq!(got[i].to_bits(), f.score(r).to_bits(), "n={n} row {i}");
@@ -511,7 +225,7 @@ mod tests {
                 .map(|c| rows.iter().map(|r| r[c]).collect())
                 .collect();
             let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
-            let by_col = lv.score_columns(&col_refs);
+            let by_col = f.score_columns(&col_refs);
             for (i, &s) in by_col.iter().enumerate() {
                 assert_eq!(s.to_bits(), got[i].to_bits(), "columns n={n} row {i}");
             }
@@ -521,31 +235,30 @@ mod tests {
     #[test]
     fn thread_count_never_changes_scores() {
         let f = forest();
-        let lv = f.level();
         let rows: Vec<Vec<f32>> = (0..5 * LANES + 3)
             .map(|i| vec![(i % 5) as f32 * 0.2, (i % 7) as f32 * 0.15, 0.0])
             .collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
-        let serial = lv.score_rows_threaded(&refs, 1);
+        let serial = f.score_rows_threaded(&refs, 1);
         for threads in [2, 3, 8] {
-            assert_eq!(lv.score_rows_threaded(&refs, threads), serial);
+            assert_eq!(f.score_rows_threaded(&refs, threads), serial);
         }
         let cols: Vec<Vec<f32>> = (0..3)
             .map(|c| rows.iter().map(|r| r[c]).collect())
             .collect();
         let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
-        let col_serial = lv.score_columns_threaded(&col_refs, 1);
+        let col_serial = f.score_columns_threaded(&col_refs, 1);
         assert_eq!(col_serial, serial);
         for threads in [2, 5] {
-            assert_eq!(lv.score_columns_threaded(&col_refs, threads), col_serial);
+            assert_eq!(f.score_columns_threaded(&col_refs, threads), col_serial);
         }
     }
 
     #[test]
     fn memory_accounting_covers_all_arrays() {
         let f = forest();
-        let lv = f.level();
-        // 6 nodes · (2 + 4 + 4 + 4 + 4) bytes + 3 starts · 4 + 2 depths · 4.
-        assert_eq!(lv.memory_bytes(), 6 * 18 + 12 + 8);
+        // 6 nodes · (2 + 4 + 4 + 4 + 4) bytes + 3 starts · 4 + 2 depths · 4
+        // + 3 importances · 8.
+        assert_eq!(f.memory_bytes(), 6 * 18 + 12 + 8 + 24);
     }
 }

@@ -5,17 +5,18 @@
 //!   optional best-first growth with a split cap (mirroring Matlab
 //!   `fitctree` with `MaxNumSplits`, the paper's DT baseline), and class
 //!   weights;
-//! * [`forest::RandomForest`] — bootstrap-aggregated CART trees trained in
-//!   parallel with rayon (the paper's offline RF);
+//! * [`forest::RandomForest`] — bootstrap-aggregated CART trees, trained
+//!   one after another on per-tree RNG streams (the paper's offline RF);
 //! * [`sampling`] — the `NegSampleRatio` (λ) downsampling of Eq. 4 used to
 //!   balance offline training sets;
 //! * [`threshold`] — the vendor-style static SMART threshold detector
 //!   (the 3–10 % FDR strawman of §2);
-//! * [`frozen`] — the flat [`frozen::FrozenForest`] scoring representation
-//!   every tree model (offline and online) compiles into via `freeze()`;
-//! * [`level`] — the breadth-first [`level::LevelForest`] twin compiled
-//!   alongside it, whose interleaved lane kernels serve every batch
-//!   scoring path (eval sweeps, CLI score/eval, store replay).
+//! * [`frozen`] — the flat, breadth-first [`frozen::FrozenForest`] scoring
+//!   representation every tree model (offline and online) compiles into via
+//!   `freeze()`, with its single-row walk and interleaved lane kernel;
+//! * [`level`] — the batch entry points over those same arrays, fanned out
+//!   over threads, that serve every batch scoring path (eval sweeps, CLI
+//!   score/eval, store replay).
 
 #![warn(missing_docs)]
 
@@ -30,5 +31,4 @@ pub mod threshold;
 pub use cart::{CartConfig, DecisionTree};
 pub use forest::{ForestConfig, RandomForest};
 pub use frozen::{FrozenBuilder, FrozenForest, SourceNode};
-pub use level::LevelForest;
 pub use sampling::downsample_negatives;

@@ -1,11 +1,10 @@
 //! Deterministic utilities shared by every `orfpred` crate.
 //!
-//! The reproduction depends on *bit-for-bit determinism under a fixed seed,
-//! regardless of thread count*: the Online Random Forest updates its trees in
-//! parallel, and the fleet simulator fans out across disks. To guarantee
-//! that, every parallel unit of work (a tree, a disk, a bootstrap replicate)
-//! owns its **own** RNG stream derived from a master seed, rather than
-//! sharing a global generator. This crate provides:
+//! The reproduction depends on *bit-for-bit determinism under a fixed seed*.
+//! To guarantee that, every independent unit of work (a tree, a disk, a
+//! bootstrap replicate) owns its **own** RNG stream derived from a master
+//! seed, rather than sharing a global generator, so no unit's randomness
+//! depends on which units ran before it. This crate provides:
 //!
 //! * [`rng::Xoshiro256pp`] — a small, fast, well-tested PRNG with
 //!   [`rng::Xoshiro256pp::split`] for spawning independent streams,

@@ -4,8 +4,8 @@
 //! It is seeded through SplitMix64 (the recommended seeding procedure), so a
 //! single `u64` master seed expands into a full 256-bit state, and
 //! [`Xoshiro256pp::split`] derives statistically independent child streams —
-//! one per tree / disk / replicate — which is what makes the parallel code
-//! paths reproducible independent of scheduling.
+//! one per tree / disk / replicate — which keeps each unit's randomness
+//! independent of the order the units run in.
 
 use serde::{Deserialize, Serialize};
 

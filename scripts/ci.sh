@@ -1,8 +1,11 @@
 #!/usr/bin/env sh
-# CI entry point: release build, tier-1 tests, then the deterministic
-# fault-injection suites with a pinned seed set (override with
-# TESTKIT_SEEDS=1,2,3 scripts/ci.sh — see README "Testing & fault
-# injection" and DESIGN.md §9).
+# CI entry point: the checks of .github/workflows/ci.yml, each run once,
+# plus the orfpred invariant lints and the bench compile gate. Stages:
+# release build, clippy (all targets), rustfmt, rustdoc, the lints, the
+# bench compile gate, the repro smoke run, then tier-1 — every member's
+# tests, including the fault-injection suites with a pinned seed set
+# (override with TESTKIT_SEEDS=1,2,3 scripts/ci.sh — see README "Testing &
+# fault injection" and DESIGN.md §9).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,7 +19,13 @@ echo "== build (release) =="
 cargo build --release
 
 echo "== lint: clippy, warnings are errors =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== lint: rustfmt =="
+cargo fmt --all --check
+
+echo "== docs: rustdoc, warnings are errors =="
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
 
 echo "== lint: orfpred invariants =="
 # Workspace-wide static pass: determinism, unsafe-audit, panic-path and
@@ -41,43 +50,19 @@ case "$json_out" in
     *) echo "lint --format json: expected an empty violations array:"; echo "$json_out"; exit 1 ;;
 esac
 
-echo "== bench compile gate (benches must not rot, store + prep + score + fleet included) =="
+echo "== bench compile gate (benches must not rot) =="
+# default-members covers every member, so this compiles every bench target.
 cargo bench --no-run
-cargo bench -p orfpred-bench --bench store --no-run
-cargo bench -p orfpred-bench --bench prep --no-run
-cargo bench -p orfpred-bench --bench score --no-run
-cargo bench -p orfpred-bench --bench fleet --no-run
+
+echo "== smoke: repro harness =="
+cargo run --release -p orfpred-repro -- table1 --scale tiny
 
 echo "== tier-1: full test suite =="
 # The root manifest's default-members is every workspace member, so this
-# runs the unit and integration tests of every crate, not only the facade.
+# runs the unit and integration tests of every crate, not only the facade:
+# the fault_* suites, serve_adapt, domain_equiv, store_roundtrip,
+# batch_equiv, frozen_equiv and fleet_equiv included, all under the
+# TESTKIT_SEEDS exported above.
 cargo test -q
-
-echo "== fault suites (TESTKIT_SEEDS=$TESTKIT_SEEDS) =="
-cargo test -q \
-    --test fault_checkpoint \
-    --test fault_shard \
-    --test fault_reorder \
-    --test fault_protocol \
-    --test fault_labeller \
-    --test fault_sim \
-    --test fault_store \
-    --test fault_prep
-
-echo "== closed-loop adaptation suite =="
-cargo test -q --test serve_adapt
-
-echo "== pluggable-domain equivalence suite (schema + window stage) =="
-cargo test -q --test domain_equiv
-
-echo "== store golden-trace property suite =="
-cargo test -q --test store_roundtrip
-
-echo "== batch kernel equivalence suite =="
-cargo test -q --test batch_equiv --test frozen_equiv
-
-echo "== fleet: serving equivalence =="
-# The fleet, serve and cli package tests already ran in the tier-1 stage.
-cargo test -q --test fleet_equiv
 
 echo "ci: all green"

@@ -1,4 +1,4 @@
-//! Level-order batch kernels ≡ preorder single-row ≡ live walkers, as a
+//! Level-order batch kernels ≡ frozen single-row walk ≡ live walkers, as a
 //! seeded shrinking property over random forests, adversarial batch shapes
 //! (0, 1, lane−1, lane, lane+1, non-multiples of the lane width), hostile
 //! feature values (NaN, ±∞, far out of the trained range), worker counts,
@@ -57,7 +57,7 @@ fn check_batch_paths(
             .collect();
         let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
 
-        // Reference: live walk and preorder single-row, which must already
+        // Reference: live walk and frozen single-row, which must already
         // agree (frozen_equiv covers that; re-checked here because hostile
         // values never reach that suite's probe generator).
         let want: Vec<u32> = probes
@@ -67,13 +67,12 @@ fn check_batch_paths(
                 let l = live(p);
                 let f = frozen.score(p);
                 if l.to_bits() != f.to_bits() {
-                    return Err(format!("{what}: n={n} row {i}: preorder {f} != live {l}"));
+                    return Err(format!("{what}: n={n} row {i}: frozen {f} != live {l}"));
                 }
                 Ok(l.to_bits())
             })
             .collect::<Result<_, String>>()?;
 
-        let level = frozen.level();
         let check = |path: &str, got: &[f32]| -> Result<(), String> {
             if got.len() != n {
                 return Err(format!("{what}: n={n} {path}: {} scores", got.len()));
@@ -89,9 +88,6 @@ fn check_batch_paths(
             Ok(())
         };
 
-        // Level-order single-row walk.
-        let singles: Vec<f32> = probes.iter().map(|p| level.score(p)).collect();
-        check("level single-row", &singles)?;
         // Interleaved row kernel, auto-threaded surface and pinned workers
         // (1 = serial, several = chunked; counts above the chunk limit
         // exercise the clamp).
@@ -99,11 +95,11 @@ fn check_batch_paths(
         for workers in [1usize, 2, 3, 7] {
             check(
                 &format!("score_rows_threaded({workers})"),
-                &level.score_rows_threaded(&rows, workers),
+                &frozen.score_rows_threaded(&rows, workers),
             )?;
             check(
                 &format!("score_columns_threaded({workers})"),
-                &level.score_columns_threaded(&col_refs, workers),
+                &frozen.score_columns_threaded(&col_refs, workers),
             )?;
         }
         // Columnar kernel (store-segment shape) and Matrix surface.

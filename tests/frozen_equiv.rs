@@ -43,12 +43,6 @@ fn assert_bit_identical(
                 want.to_bits()
             ));
         }
-        let level = frozen.level().score(p);
-        if level.to_bits() != want.to_bits() {
-            return Err(format!(
-                "{what}: probe {i}: level-order single-row {level} != live {want}"
-            ));
-        }
         if batch[i].to_bits() != want.to_bits() {
             return Err(format!(
                 "{what}: probe {i}: batch {} != live {want}",

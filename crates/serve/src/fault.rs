@@ -60,9 +60,11 @@ pub trait FaultInjector: Send + Sync + std::fmt::Debug {
     /// on the spot — dropping its labelling queues and every event still
     /// in its channel, exactly the state loss of a crashed thread. The
     /// engine surfaces the death as [`ServeError::ShuttingDown`] on the
-    /// next ingest routed to that shard.
+    /// next ingest routed to that shard, and as
+    /// [`ServeError::WorkerPanicked`] from `flush`, `finish` and `suspend`.
     ///
     /// [`ServeError::ShuttingDown`]: crate::engine::ServeError
+    /// [`ServeError::WorkerPanicked`]: crate::engine::ServeError
     fn kill_shard(&self, _shard: usize, _seq: u64) -> bool {
         false
     }

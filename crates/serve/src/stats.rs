@@ -80,7 +80,7 @@ pub struct ServeStats {
     pub forest_samples_seen: AtomicU64,
     /// Trees discarded and regrown (mirrored from the writer).
     pub trees_replaced: AtomicU64,
-    /// Model snapshots published for the lock-free scoring path.
+    /// Model snapshots published for score requests.
     pub snapshots_published: AtomicU64,
     /// Distribution shifts the adaptation loop has declared (mirrored
     /// from the writer; stays 0 without an adaptation loop).
@@ -150,7 +150,7 @@ pub struct StatsReport {
     pub forest_samples_seen: u64,
     /// Trees discarded and regrown by the ORF's OOBE replacement.
     pub trees_replaced: u64,
-    /// Model snapshots published for the lock-free scoring path.
+    /// Model snapshots published for score requests.
     pub snapshots_published: u64,
     /// Distribution shifts the adaptation loop has declared.
     pub drift_events: u64,

@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
-# CI entry point: the checks of .github/workflows/ci.yml, each run once,
-# plus the orfpred invariant lints and the bench compile gate. Stages:
-# release build, clippy (all targets), rustfmt, rustdoc, the lints, the
-# bench compile gate, the repro smoke run, then tier-1 — every member's
-# tests, including the fault-injection suites with a pinned seed set
-# (override with TESTKIT_SEEDS=1,2,3 scripts/ci.sh — see README "Testing &
-# fault injection" and DESIGN.md §9).
+# CI entry point: the checks of .github/workflows/ci.yml, each run once;
+# the workflow runs the same orfpred lints and bench compile gate as
+# steps of its lint and test jobs. Stages: release build, clippy (all
+# targets), rustfmt, rustdoc, the lints, the bench compile gate, the
+# repro smoke run, then tier-1 — every member's tests, including the
+# fault-injection suites with a pinned seed set (override with
+# TESTKIT_SEEDS=1,2,3 scripts/ci.sh — see README "Testing & fault
+# injection" and DESIGN.md §9).
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -59,7 +59,7 @@ fn dirty_stream_serial_and_sharded_agree_bit_exactly() {
         for event in &events {
             engine.ingest(event.clone()).expect("engine accepts events");
         }
-        engine.flush();
+        engine.flush().expect("the writer applies every event");
         let counters = engine.stats().prep.expect("prep counters exposed");
         assert!(
             counters.any_repairs(),

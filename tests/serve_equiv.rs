@@ -98,7 +98,7 @@ fn published_frozen_snapshot_scores_match_the_serial_predictor_bitwise() {
     for event in &events {
         engine.ingest(event.clone()).expect("engine accepts events");
     }
-    engine.flush();
+    engine.flush().expect("the writer applies every event");
     // finish() publishes the final snapshot after draining the stream.
     engine.finish().expect("clean shutdown");
 
@@ -147,7 +147,7 @@ fn clean_stream_with_default_prep_is_bit_exact_passthrough() {
             .ingest(event.clone())
             .expect("prep engine accepts events");
     }
-    prepped.flush();
+    prepped.flush().expect("the writer applies every event");
     let counters = prepped.stats().prep.expect("prep stage reports counters");
     assert_eq!(counters.samples_in, counters.samples_out);
     assert_eq!(counters.failures_in, counters.failures_out);

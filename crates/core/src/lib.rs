@@ -14,10 +14,14 @@
 //! * [`labeller::OnlineLabeller`] — the automatic online label method
 //!   (Figure 1): per-disk queues of recent unlabelled samples, flushed as
 //!   positives when the disk fails and aged out as negatives otherwise;
-//! * [`online::OnlinePredictor`] — Algorithm 2 end-to-end: labeller +
-//!   streaming min–max scaler + ORF + alarm threshold, consuming the fleet
-//!   event stream directly (optionally through the `orfpred-prep`
-//!   preprocessing stage);
+//! * [`online::OnlineModel`] — Algorithm 2's model step: streaming
+//!   min–max scaler + ORF + adaptation hook + alarm threshold, which learns
+//!   from released samples and scores fresh ones. The serial predictor
+//!   and the serve engine's model writer both run it;
+//! * [`online::OnlinePredictor`] — Algorithm 2 end-to-end: one
+//!   [`online::OnlineModel`] behind the labeller, consuming the fleet event
+//!   stream directly (optionally through the `orfpred-prep` preprocessing
+//!   stage and a domain's window stage);
 //! * [`adapt::AdaptiveState`] — drift-triggered closed-loop adaptation:
 //!   a windowed detector over the released healthy population plus a
 //!   configurable long-term update policy (no-update / replace /
@@ -36,5 +40,5 @@ pub use adapt::{AdaptConfig, AdaptiveState, UpdatePolicy};
 pub use config::OrfConfig;
 pub use forest::OnlineRandomForest;
 pub use labeller::{OnlineLabeller, ReleasedSample};
-pub use online::{Alarm, OnlinePredictor, OnlinePredictorConfig};
+pub use online::{Alarm, OnlineModel, OnlinePredictor, OnlinePredictorConfig};
 pub use tree::OnlineTree;

@@ -1,12 +1,19 @@
 //! Algorithm 2 end-to-end: the deployable online predictor.
 //!
-//! Consumes the chronological fleet event stream. For every arriving SMART
-//! snapshot it (1) widens the streaming min–max scaler, (2) lets the
-//! [`OnlineLabeller`] release any sample whose label has become certain and
-//! feeds those to the ORF, and (3) scores the fresh snapshot, raising an
-//! [`Alarm`] when the ensemble vote crosses the alarm threshold ("immediate
-//! data migration is recommended", Algorithm 2 line 20). Disk failures
-//! flush that disk's queue as positive training data.
+//! Algorithm 2 has two halves. [`OnlineModel`] is the model half: for
+//! every event it (1) widens the streaming min–max scaler with the fresh
+//! snapshot, (2) trains the ORF on whatever the labeller just released and
+//! runs the optional drift-adaptation hook, and (3) scores the fresh
+//! snapshot, raising an [`Alarm`] when the ensemble vote crosses the alarm
+//! threshold ("immediate data migration is recommended", Algorithm 2
+//! line 20). Disk failures flush that disk's queue as positive training
+//! data.
+//!
+//! [`OnlinePredictor`] wraps one such model in the stages that decide
+//! what it sees: the optional preprocessing stage, the window stage and
+//! the [`OnlineLabeller`]. The serve engine's model writer drives an
+//! [`OnlineModel`] of its own with the labels its shards computed, so the
+//! serial and the sharded pipelines run one model step.
 //!
 //! No offline retraining ever happens — this is the paper's headline
 //! property.
@@ -14,12 +21,13 @@
 use crate::adapt::{AdaptConfig, AdaptiveState};
 use crate::config::OrfConfig;
 use crate::forest::OnlineRandomForest;
-use crate::labeller::OnlineLabeller;
+use crate::labeller::{OnlineLabeller, ReleasedSample};
 use orfpred_prep::{PrepConfig, Preprocessor};
 use orfpred_smart::gen::FleetEvent;
 use orfpred_smart::record::DiskDay;
 use orfpred_smart::scale::OnlineMinMax;
 use orfpred_smart::{DomainSchema, WindowStage};
+use orfpred_trees::FrozenForest;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the online predictor.
@@ -102,43 +110,152 @@ pub struct Alarm {
     pub score: f32,
 }
 
-/// The deployable Algorithm 2 pipeline.
+/// The model half of Algorithm 2: per event, [`Self::learn`] and then,
+/// for a sample, [`Self::predict`] on the same row.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct OnlineModel {
+    /// Streaming min–max scaler over the feature columns.
+    pub scaler: OnlineMinMax,
+    /// The online random forest, as wide as the scaler's output.
+    pub forest: OnlineRandomForest,
+    /// Drift-triggered adaptation loop; `None` keeps the paper's pure ORF.
+    pub adaptive: Option<AdaptiveState>,
+    /// Ensemble vote at or above which a sample raises an alarm.
+    pub alarm_threshold: f32,
+    /// Alarms raised so far.
+    pub alarms_raised: u64,
+    /// Scaled-row buffer, as wide as the scaler's output.
+    scratch: Vec<f32>,
+}
+
+impl OnlineModel {
+    /// A fresh model for `cfg`: empty scaler bounds, an untrained forest,
+    /// and the adaptation loop when `cfg.adapt` arms one.
+    pub fn new(cfg: &OnlinePredictorConfig) -> Self {
+        let n = cfg.feature_cols.len();
+        assert!(n > 0, "need at least one feature column");
+        Self {
+            scaler: OnlineMinMax::new_log1p(&cfg.feature_cols),
+            forest: OnlineRandomForest::new(n, cfg.orf.clone(), cfg.seed),
+            adaptive: fresh_adaptive(cfg),
+            alarm_threshold: cfg.alarm_threshold,
+            alarms_raised: 0,
+            scratch: vec![0.0; n],
+        }
+    }
+
+    /// A model resumed from a checkpoint's parts. A part an older
+    /// checkpoint lacks (`None`) starts as in [`Self::new`].
+    pub fn restore(
+        cfg: &OnlinePredictorConfig,
+        scaler: OnlineMinMax,
+        forest: OnlineRandomForest,
+        adaptive: Option<AdaptiveState>,
+        alarm_threshold: Option<f32>,
+        alarms_raised: Option<u64>,
+    ) -> Self {
+        Self {
+            scratch: vec![0.0; scaler.n_outputs()],
+            scaler,
+            forest,
+            adaptive: adaptive.or_else(|| fresh_adaptive(cfg)),
+            alarm_threshold: alarm_threshold.unwrap_or(cfg.alarm_threshold),
+            alarms_raised: alarms_raised.unwrap_or(0),
+        }
+    }
+
+    /// The model update phase: widen the scaler with the fresh sample's
+    /// row (`None` for a failure), then train the forest on each released
+    /// sample in order and feed it to the adaptation loop, whose policy may
+    /// swap in a rebuilt forest. The scaler only ever widens, so widening
+    /// it before training keeps past and future transforms consistent.
+    ///
+    /// Returns whether the adaptation loop declared drift. It watches
+    /// released negatives only, and a failure releases positives only, so
+    /// one call declares at most one drift.
+    pub fn learn(&mut self, fresh: Option<&[f32]>, released: &[ReleasedSample]) -> bool {
+        if let Some(row) = fresh {
+            self.scaler.update(row);
+        }
+        let mut drifted = false;
+        for rel in released {
+            self.scaler.transform_into(&rel.features, &mut self.scratch);
+            self.forest.update(&self.scratch, rel.positive);
+            let Some(adaptive) = self.adaptive.as_mut() else {
+                continue;
+            };
+            if adaptive.on_released(&rel.features, rel.positive).is_some() {
+                drifted = true;
+                if let Some(forest) = adaptive.rebuild(&self.scaler) {
+                    self.forest = forest;
+                }
+            }
+        }
+        drifted
+    }
+
+    /// The prediction phase: score the fresh, still unlabelled sample and
+    /// raise an alarm when the vote reaches the threshold (Algorithm 2
+    /// line 20).
+    pub fn predict(&mut self, rec: &DiskDay) -> (f32, Option<Alarm>) {
+        self.scaler.transform_into(&rec.features, &mut self.scratch);
+        let score = self.forest.score(&self.scratch);
+        if score < self.alarm_threshold {
+            return (score, None);
+        }
+        self.alarms_raised += 1;
+        let alarm = Alarm {
+            disk_id: rec.disk_id,
+            day: rec.day,
+            score,
+        };
+        (score, Some(alarm))
+    }
+
+    /// Score a full-width feature row (no state change).
+    pub fn score_row(&self, features: &[f32]) -> f32 {
+        let mut scaled = vec![0.0f32; self.scaler.n_outputs()];
+        self.scaler.transform_into(features, &mut scaled);
+        self.forest.score(&scaled)
+    }
+
+    /// Freeze the current state for batch scoring: the compiled forest
+    /// plus a copy of the streaming scaler. Scoring a raw row with the
+    /// pair is bit-identical to [`Self::score_row`] at the freeze point.
+    pub fn freeze(&self) -> (FrozenForest, OnlineMinMax) {
+        (self.forest.freeze(), self.scaler.clone())
+    }
+}
+
+/// The adaptation loop a fresh model for `cfg` starts with.
+fn fresh_adaptive(cfg: &OnlinePredictorConfig) -> Option<AdaptiveState> {
+    cfg.adapt
+        .as_ref()
+        .map(|a| AdaptiveState::new(a, cfg.feature_cols.len(), &cfg.orf, cfg.seed))
+}
+
+/// The deployable Algorithm 2 pipeline: the labeller, prep and window
+/// stages around one [`OnlineModel`].
 ///
 /// Serializable: a running deployment can be checkpointed (labeller queues,
 /// scaler bounds, forest state, RNG streams) and restored bit-exactly.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct OnlinePredictor {
     labeller: OnlineLabeller,
-    scaler: OnlineMinMax,
-    forest: OnlineRandomForest,
-    alarm_threshold: f32,
-    scratch: Vec<f32>,
-    alarms_raised: u64,
+    model: OnlineModel,
     prep: Option<Preprocessor>,
-    adaptive: Option<AdaptiveState>,
     /// Sliding-window derived-feature stage (schema-driven); `None` for
-    /// domains with an empty derived plan, which also keeps checkpoints
-    /// written before the field existed loading unchanged.
+    /// domains with an empty derived plan.
     window: Option<WindowStage>,
 }
 
 impl OnlinePredictor {
     /// Build the pipeline.
     pub fn new(cfg: &OnlinePredictorConfig) -> Self {
-        let n = cfg.feature_cols.len();
-        assert!(n > 0, "need at least one feature column");
         Self {
             labeller: OnlineLabeller::new(cfg.window_days),
-            scaler: OnlineMinMax::new_log1p(&cfg.feature_cols),
-            forest: OnlineRandomForest::new(n, cfg.orf.clone(), cfg.seed),
-            alarm_threshold: cfg.alarm_threshold,
-            scratch: vec![0.0; n],
-            alarms_raised: 0,
+            model: OnlineModel::new(cfg),
             prep: cfg.prep.as_ref().map(Preprocessor::new),
-            adaptive: cfg
-                .adapt
-                .as_ref()
-                .map(|a| AdaptiveState::new(a, n, &cfg.orf, cfg.seed)),
             window: cfg.window_stage(),
         }
     }
@@ -219,65 +336,24 @@ impl OnlinePredictor {
         self.observe_extended(rec)
     }
 
-    /// Algorithm 2 lines 10–22 on a row already at full feature width.
+    /// Algorithm 2 lines 10–22 on a row already at full feature width:
+    /// label, then the model's update and prediction phases.
     fn observe_extended(&mut self, rec: &DiskDay) -> (f32, Option<Alarm>) {
-        // The scaler only ever widens, so updating it before training keeps
-        // past and future transforms consistent.
-        self.scaler.update(&rec.features);
-
-        // Model update phase: train on whatever just became labelled.
-        if let Some(released) = self
+        let released = self
             .labeller
-            .observe_sample(rec.disk_id, rec.day, &rec.features)
-        {
-            self.scaler
-                .transform_into(&released.features, &mut self.scratch);
-            self.forest.update(&self.scratch, released.positive);
-            self.adapt_on_released(&released.features, released.positive);
-        }
-
-        // Prediction phase on the fresh (still unlabelled) sample.
-        let score = self.score_row(&rec.features);
-        let alarm = if score >= self.alarm_threshold {
-            self.alarms_raised += 1;
-            Some(Alarm {
-                disk_id: rec.disk_id,
-                day: rec.day,
-                score,
-            })
-        } else {
-            None
-        };
-        (score, alarm)
+            .observe_sample(rec.disk_id, rec.day, &rec.features);
+        self.model.learn(Some(&rec.features), released.as_slice());
+        self.model.predict(rec)
     }
 
     /// Process a disk failure (Algorithm 2 lines 2–8): flush its queue as
     /// positive training samples.
     pub fn observe_failure(&mut self, disk_id: u32) {
-        for released in self.labeller.observe_failure(disk_id) {
-            self.scaler
-                .transform_into(&released.features, &mut self.scratch);
-            self.forest.update(&self.scratch, true);
-            self.adapt_on_released(&released.features, true);
-        }
+        let flushed = self.labeller.observe_failure(disk_id);
+        self.model.learn(None, &flushed);
         // The disk is gone; its window history can never be extended again.
         if let Some(w) = self.window.as_mut() {
             w.forget(disk_id);
-        }
-    }
-
-    /// Feed one labeller release to the adaptation loop; on a drift event
-    /// the update policy may swap in a rebuilt forest. Must run at the
-    /// same per-release points in serial replay and in the serve engine's
-    /// writer thread, or the two diverge.
-    fn adapt_on_released(&mut self, features: &[f32], positive: bool) {
-        let Some(adaptive) = self.adaptive.as_mut() else {
-            return;
-        };
-        if adaptive.on_released(features, positive).is_some() {
-            if let Some(forest) = adaptive.rebuild(&self.scaler) {
-                self.forest = forest;
-            }
         }
     }
 
@@ -286,24 +362,18 @@ impl OnlinePredictor {
     /// (e.g. via [`WindowStage::extend_records`] offline); stateless probes
     /// may zero-pad.
     pub fn score_row(&self, features: &[f32]) -> f32 {
-        let mut scaled = vec![0.0f32; self.scaler.n_outputs()];
-        self.scaler.transform_into(features, &mut scaled);
-        self.forest.score(&scaled)
+        self.model.score_row(features)
     }
 
-    /// Change the alarm operating point.
-    pub fn set_alarm_threshold(&mut self, tau: f32) {
-        self.alarm_threshold = tau;
+    /// The model: scaler, forest, adaptation loop, alarm operating point
+    /// and alarm count.
+    pub fn model(&self) -> &OnlineModel {
+        &self.model
     }
 
-    /// Current alarm operating point.
-    pub fn alarm_threshold(&self) -> f32 {
-        self.alarm_threshold
-    }
-
-    /// The underlying forest (diagnostics / evaluation).
+    /// The forest; the same as `model().forest`.
     pub fn forest(&self) -> &OnlineRandomForest {
-        &self.forest
+        &self.model.forest
     }
 
     /// The labeller (diagnostics).
@@ -311,37 +381,15 @@ impl OnlinePredictor {
         &self.labeller
     }
 
-    /// Streaming scaler (diagnostics).
-    pub fn scaler(&self) -> &OnlineMinMax {
-        &self.scaler
-    }
-
-    /// Total alarms raised so far.
-    pub fn alarms_raised(&self) -> u64 {
-        self.alarms_raised
-    }
-
     /// The preprocessing stage, when configured (counters / diagnostics).
     pub fn prep(&self) -> Option<&Preprocessor> {
         self.prep.as_ref()
-    }
-
-    /// The adaptation loop, when configured (counters / diagnostics).
-    pub fn adaptive(&self) -> Option<&AdaptiveState> {
-        self.adaptive.as_ref()
     }
 
     /// The window stage, when the domain's derived plan is non-empty
     /// (counters / diagnostics).
     pub fn window(&self) -> Option<&WindowStage> {
         self.window.as_ref()
-    }
-
-    /// Freeze the current model state for batch scoring: the compiled
-    /// forest plus a copy of the streaming scaler. Scoring a raw row with
-    /// the pair is bit-identical to [`Self::score_row`] at the freeze point.
-    pub fn freeze(&self) -> (orfpred_trees::FrozenForest, OnlineMinMax) {
-        (self.forest.freeze(), self.scaler.clone())
     }
 }
 
@@ -422,7 +470,7 @@ mod tests {
     fn alarms_fire_on_risky_samples_only() {
         let mut p = OnlinePredictor::new(&cfg());
         train_stream(&mut p, 50, 120);
-        p.set_alarm_threshold(0.5);
+        p.model.alarm_threshold = 0.5;
         let a = p.observe_sample(&rec(500, 121, 25.0));
         assert!(a.is_some(), "ramping disk must alarm");
         let a = a.unwrap();
@@ -430,7 +478,7 @@ mod tests {
         assert!(a.score >= 0.5);
         let none = p.observe_sample(&rec(501, 121, 0.0));
         assert!(none.is_none(), "healthy disk must stay silent");
-        assert!(p.alarms_raised() >= 1);
+        assert!(p.model().alarms_raised >= 1);
     }
 
     #[test]
@@ -558,9 +606,9 @@ mod tests {
         train_stream(&mut p, 50, 120);
         let probe = rec(900, 121, 12.0);
         let score = p.score_row(&probe.features);
-        p.set_alarm_threshold(score + 0.01);
+        p.model.alarm_threshold = score + 0.01;
         assert!(p.observe_sample(&probe).is_none());
-        p.set_alarm_threshold((score - 0.01).max(0.0));
+        p.model.alarm_threshold = (score - 0.01).max(0.0);
         assert!(p.observe_sample(&rec(901, 121, 12.0)).is_some());
     }
 }

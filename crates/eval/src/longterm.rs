@@ -401,7 +401,9 @@ pub fn run_closed_loop(
     }
 
     let (drift_events, rebuilds) = predictor
-        .adaptive()
+        .model()
+        .adaptive
+        .as_ref()
         .map(|a| (a.drift_events(), a.rebuilds()))
         .unwrap_or((0, 0));
     ClosedLoopResult {

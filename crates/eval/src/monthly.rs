@@ -191,7 +191,7 @@ pub fn run_monthly(ds: &Dataset, cfg: &MonthlyConfig) -> MonthlyResult {
         // Evaluate every model on the full test set at FAR ≈ target. The
         // ORF is frozen at the month boundary — batch evaluation scores a
         // fixed model state, so the flat representation applies.
-        let (orf_frozen, orf_scaler) = predictor.freeze();
+        let (orf_frozen, orf_scaler) = predictor.model().freeze();
         let orf_scored = score_test_disks(
             ds,
             &split.test,

@@ -211,6 +211,8 @@ impl FleetEngine {
                 Some(path) if path.exists() => {
                     let ck = Checkpoint::load(path)
                         .map_err(|e| format!("tenant `{}`: {e}", cfg.name))?;
+                    ck.check_domain(&schema)
+                        .map_err(|e| format!("tenant `{}`: {e}", cfg.name))?;
                     // lint: allow(checkpoint_coverage, reason="read-only peek at the replay cursor; Engine::restore consumes the full checkpoint on the next line")
                     let Checkpoint::Online {
                         events_ingested, ..
@@ -719,6 +721,37 @@ mod tests {
             dir.join("live.json").exists(),
             "the other tenant still saved its state"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_schemaless_smart_checkpoint_is_refused_by_an_mce_tenant() {
+        // v1/v2 checkpoints and `orfpred train --online` models carry no
+        // schema: they are SMART, and another domain's tenant refuses them.
+        let dir =
+            std::env::temp_dir().join(format!("orfpred_fleet_schemaless_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("smart.json");
+        let (fleet, _) =
+            FleetEngine::start(vec![TenantConfig::new("smart", predictor(8))]).unwrap();
+        fleet.ingest_batch(None, events(8)[..40].to_vec()).unwrap();
+        fleet.checkpoint(None, Some(&path)).unwrap();
+        fleet.finish().unwrap();
+        let mut ck = Checkpoint::load(&path).unwrap();
+        let Checkpoint::Online { schema, .. } = &mut ck;
+        *schema = None;
+        ck.save_atomic(&path).unwrap();
+
+        let mut mce = TenantConfig::new(
+            "mce",
+            OnlinePredictorConfig::for_domain(orfpred_smart::DomainSchema::mce(), vec![0, 1], 8),
+        );
+        mce.checkpoint_path = Some(path);
+        let err = FleetEngine::start(vec![mce])
+            .err()
+            .expect("the mce tenant refuses a SMART checkpoint");
+        assert!(err.contains("tenant `mce`"), "{err}");
+        assert!(err.contains("does not match"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,6 +21,7 @@ use orfpred_prep::Preprocessor;
 use orfpred_smart::scale::OnlineMinMax;
 use orfpred_smart::{DomainSchema, WindowStage};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -124,9 +125,10 @@ pub enum Checkpoint {
         /// engine runs without adaptation.
         adapt: Option<AdaptiveState>,
         /// The telemetry domain the checkpointed pipeline ran on. `None`
-        /// on v1/v2 files: the implicit SMART domain. Carried so a restore
-        /// against a different domain fails a fingerprint check instead of
-        /// silently misaligning feature columns.
+        /// on v1/v2 files and `orfpred train --online` models: the
+        /// implicit SMART domain. Carried so a restore against a different
+        /// domain fails a fingerprint check ([`Checkpoint::check_domain`])
+        /// instead of silently misaligning feature columns.
         schema: Option<DomainSchema>,
         /// Sliding-window derived-feature state at the barrier (per-disk
         /// history). `None` on v1/v2 files or when the domain's derived
@@ -213,11 +215,47 @@ impl Checkpoint {
         Ok(ck)
     }
 
+    /// The telemetry domain the checkpoint was written for: its schema, or
+    /// the implicit SMART domain when it carries none.
+    fn domain(&self) -> Cow<'_, DomainSchema> {
+        let Checkpoint::Online {
+            schema,
+            scaler: _,
+            forest: _,
+            version: _,
+            labeller: _,
+            alarm_threshold: _,
+            alarms_raised: _,
+            next_seq: _,
+            events_ingested: _,
+            prep: _,
+            adapt: _,
+            window: _,
+        } = self;
+        schema
+            .as_ref()
+            .map_or_else(|| Cow::Owned(DomainSchema::smart()), Cow::Borrowed)
+    }
+
+    /// Refuse a restore into an engine configured for another domain: the
+    /// two fingerprints must match, a checkpoint without a schema counting
+    /// as SMART.
+    pub fn check_domain(&self, configured: &DomainSchema) -> Result<(), String> {
+        let saved = self.domain();
+        if saved.fingerprint() == configured.fingerprint() {
+            return Ok(());
+        }
+        Err(format!(
+            "checkpoint domain `{}` does not match the configured domain `{}`",
+            saved.name, configured.name
+        ))
+    }
+
     /// Structural consistency checks on a parsed checkpoint: pieces that
     /// deserialize fine individually but cannot have come from one engine
     /// are rejected here, before they can panic deep inside scoring or
-    /// restore (scaler/forest width mismatch, a zero labelling window, a
-    /// version from the future).
+    /// restore (scaler/forest width mismatch, a scaler column past its
+    /// domain's row, a zero labelling window, a version from the future).
     pub fn validate(&self) -> Result<(), String> {
         // lint: allow(checkpoint_coverage, reason="shape validation probes only the structurally constrained fields; Engine::restore consumes every field")
         let Checkpoint::Online {
@@ -272,6 +310,14 @@ impl Checkpoint {
             }
         } else if window.is_some() {
             return Err("window state present without a domain schema".into());
+        }
+        let domain = self.domain();
+        if let Some(c) = scaler.cols().iter().find(|&&c| c >= domain.n_features()) {
+            return Err(format!(
+                "scaler reads column {c} but a `{}` row has {} columns",
+                domain.name,
+                domain.n_features()
+            ));
         }
         Ok(())
     }
@@ -497,12 +543,41 @@ mod tests {
         );
         let loaded: Checkpoint = serde_json::from_str(&v2).unwrap();
         loaded.validate().unwrap();
+        loaded.check_domain(&DomainSchema::smart()).unwrap();
+        let err = loaded.check_domain(&DomainSchema::mce()).unwrap_err();
+        assert!(err.contains("`mce`"), "{err}");
         let Checkpoint::Online { schema, window, .. } = loaded;
         assert!(
             schema.is_none(),
             "v2 files carry no schema (implicit SMART)"
         );
         assert!(window.is_none());
+    }
+
+    #[test]
+    fn a_scaler_reading_past_the_domain_row_is_corrupt() {
+        // Column 48 is one past a SMART row, with or without a schema.
+        let width = DomainSchema::smart().n_features();
+        for schema in [Some(DomainSchema::smart()), None] {
+            let mut ck = tiny();
+            let Checkpoint::Online {
+                scaler, schema: s, ..
+            } = &mut ck;
+            *scaler = OnlineMinMax::new_log1p(&[0, width]);
+            *s = schema;
+            let path = std::env::temp_dir().join(format!(
+                "orfpred_serve_ckpt_wide_scaler_{}.json",
+                std::process::id()
+            ));
+            std::fs::write(&path, serde_json::to_vec(&ck).unwrap()).unwrap();
+            match Checkpoint::load(&path) {
+                Err(CheckpointError::Corrupt { detail, .. }) => {
+                    assert!(detail.contains("column 48"), "{detail}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

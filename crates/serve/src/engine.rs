@@ -15,7 +15,8 @@
 //! owns its slice of the per-disk labelling queues (Algorithm 2 state) and
 //! turns raw events into labelled training samples. Labelled events flow
 //! over bounded channels into the single **model writer**, which owns the
-//! ORF and the streaming scaler.
+//! model: one [`OnlineModel`] (streaming scaler, ORF, adaptation loop,
+//! alarm threshold), the same type the serial [`OnlinePredictor`] wraps.
 //!
 //! # Batched hand-offs
 //!
@@ -37,9 +38,9 @@
 //! is a pure per-disk function and per-disk order is preserved (a disk maps
 //! to one shard; channels are FIFO), the writer sees, for every event, the
 //! same released training samples a single-threaded [`OnlinePredictor`]
-//! replay would produce — and applies scaler updates, forest updates, and
-//! scoring in the identical order. The alarm stream is therefore identical
-//! for **any** shard count.
+//! replay would produce — and hands them to the same model step
+//! ([`OnlineModel::learn`], then [`OnlineModel::predict`]). The alarm
+//! stream is therefore identical for **any** shard count.
 //!
 //! # Checkpoints
 //!
@@ -53,14 +54,17 @@
 //! builds the final checkpoint the same way, so a shard that died before
 //! it leaves no final state: `finish` and `suspend` fail instead.
 //!
+//! A dead thread never hangs a caller. When the writer exits, by return or
+//! by panic, it closes every shard's event credit, so ingest fails instead
+//! of waiting for room; `flush` and `checkpoint` stop waiting once the
+//! writer or a shard thread has exited.
+//!
 //! [`OnlinePredictor`]: orfpred_core::OnlinePredictor
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::fault::{FaultInjector, NoFaults};
 use crate::stats::{ServeStats, StatsReport};
-use orfpred_core::{
-    AdaptiveState, Alarm, OnlineLabeller, OnlinePredictorConfig, OnlineRandomForest, ReleasedSample,
-};
+use orfpred_core::{Alarm, OnlineLabeller, OnlineModel, OnlinePredictorConfig, ReleasedSample};
 use orfpred_prep::Preprocessor;
 use orfpred_smart::gen::FleetEvent;
 use orfpred_smart::record::DiskDay;
@@ -71,10 +75,10 @@ use parking_lot::Mutex;
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Route a disk to its shard. Stable across restarts (and used to
 /// re-partition restored labelling queues), uniform via splitmix64.
@@ -129,6 +133,12 @@ pub struct ModelSnapshot {
 }
 
 impl ModelSnapshot {
+    /// The model compiled to its frozen scoring form.
+    fn of(model: &OnlineModel) -> Arc<Self> {
+        let (forest, scaler) = model.freeze();
+        Arc::new(Self { scaler, forest })
+    }
+
     /// Score a full-width feature row against this frozen model.
     pub fn score(&self, features: &[f32]) -> f32 {
         let mut scaled = vec![0.0f32; self.scaler.n_outputs()];
@@ -472,8 +482,9 @@ impl ShardRoom {
     }
 }
 
-/// Closes its shard's room when the shard thread exits, by return or by
-/// panic, so an ingest waiting for room fails instead of hanging.
+/// Closes its shard's room when the shard thread exits, and every room
+/// when the writer exits, by return or by panic: no room is given back
+/// after that, so an ingest waiting for room fails instead of hanging.
 struct CloseOnExit(Arc<ShardRoom>);
 
 impl Drop for CloseOnExit {
@@ -503,50 +514,29 @@ pub struct Engine {
     schema: DomainSchema,
 }
 
-/// The writer's share of a checkpoint: cloned at a checkpoint barrier and
-/// moved out at the shutdown barrier.
-#[derive(Clone)]
-struct ModelState {
-    scaler: OnlineMinMax,
-    forest: OnlineRandomForest,
-    /// Drift-triggered adaptation loop; `None` runs the writer without
-    /// one. The writer owns it because rebuilds swap the forest —
-    /// mirroring the serial predictor's hook point keeps N-shard == serial.
-    adaptive: Option<AdaptiveState>,
-    alarm_threshold: f32,
-    alarms_raised: u64,
-    /// The engine's resolved domain, embedded in every checkpoint so a
-    /// restore against a different domain fails its fingerprint check.
+/// The checkpoint of the barrier at `seq`: the writer's model and
+/// domain, the shards' merged labelling queues, and the ingest-side state
+/// taken with the barrier. The only place the engine builds a checkpoint.
+fn checkpoint(
+    model: OnlineModel,
     schema: DomainSchema,
-}
-
-impl ModelState {
-    /// The scaler and the forest compiled to its frozen scoring form.
-    fn snapshot(&self) -> Arc<ModelSnapshot> {
-        Arc::new(ModelSnapshot {
-            scaler: self.scaler.clone(),
-            forest: self.forest.freeze(),
-        })
-    }
-
-    /// The checkpoint of the barrier at `seq`: this model, the shards'
-    /// merged labelling queues, and the ingest-side state taken with the
-    /// barrier. The only place the engine builds a checkpoint.
-    fn checkpoint(self, seq: u64, labeller: OnlineLabeller, req: CheckpointRequest) -> Checkpoint {
-        Checkpoint::Online {
-            scaler: self.scaler,
-            forest: self.forest,
-            version: Some(CHECKPOINT_VERSION),
-            labeller: Some(labeller),
-            alarm_threshold: Some(self.alarm_threshold),
-            alarms_raised: Some(self.alarms_raised),
-            next_seq: Some(seq + 1),
-            events_ingested: Some(req.raw_events),
-            prep: req.prep,
-            adapt: self.adaptive,
-            schema: Some(self.schema),
-            window: req.window,
-        }
+    seq: u64,
+    labeller: OnlineLabeller,
+    req: CheckpointRequest,
+) -> Checkpoint {
+    Checkpoint::Online {
+        scaler: model.scaler,
+        forest: model.forest,
+        version: Some(CHECKPOINT_VERSION),
+        labeller: Some(labeller),
+        alarm_threshold: Some(model.alarm_threshold),
+        alarms_raised: Some(model.alarms_raised),
+        next_seq: Some(seq + 1),
+        events_ingested: Some(req.raw_events),
+        prep: req.prep,
+        adapt: model.adaptive,
+        schema: Some(schema),
+        window: req.window,
     }
 }
 
@@ -569,66 +559,41 @@ impl Engine {
         assert!(cfg.queue_capacity > 0, "need a positive queue capacity");
         let p = &cfg.predictor;
         // A fresh engine (or an older checkpoint without the fields) builds
-        // the prep stage and adaptation loop from the predictor config; a
+        // the prep and window stages from the predictor config; a
         // checkpoint that carries them resumes their exact state.
         let schema = p.domain_schema();
         let fresh_prep = || p.prep.as_ref().map(Preprocessor::new);
-        let fresh_adapt = || {
-            p.adapt
-                .as_ref()
-                .map(|a| AdaptiveState::new(a, p.feature_cols.len(), &p.orf, p.seed))
-        };
         let fresh_window = || p.window_stage();
         let (model, labeller, start_seq, raw_events, prep, window) = match from {
             None => (
-                ModelState {
-                    scaler: OnlineMinMax::new_log1p(&p.feature_cols),
-                    forest: OnlineRandomForest::new(p.feature_cols.len(), p.orf.clone(), p.seed),
-                    adaptive: fresh_adapt(),
-                    alarm_threshold: p.alarm_threshold,
-                    alarms_raised: 0,
-                    schema: schema.clone(),
-                },
+                OnlineModel::new(p),
                 OnlineLabeller::new(p.window_days),
                 0,
                 0,
                 fresh_prep(),
                 fresh_window(),
             ),
-            Some(Checkpoint::Online {
-                scaler,
-                forest,
-                labeller,
-                alarm_threshold,
-                alarms_raised,
-                next_seq,
-                events_ingested,
-                prep,
-                adapt,
-                schema: ck_schema,
-                window,
-                version: _,
-            }) => {
-                // A checkpoint from a different domain would misalign every
+            Some(ck) => {
+                // A checkpoint from another domain would misalign every
                 // feature column; fail loudly at restore time.
-                if let Some(s) = &ck_schema {
-                    assert_eq!(
-                        s.fingerprint(),
-                        schema.fingerprint(),
-                        "checkpoint domain `{}` does not match the configured domain `{}`",
-                        s.name,
-                        schema.name
-                    );
-                }
+                let refused = ck.check_domain(&schema).err();
+                assert!(refused.is_none(), "{}", refused.unwrap_or_default());
+                let Checkpoint::Online {
+                    scaler,
+                    forest,
+                    labeller,
+                    alarm_threshold,
+                    alarms_raised,
+                    next_seq,
+                    events_ingested,
+                    prep,
+                    adapt,
+                    schema: _,
+                    window,
+                    version: _,
+                } = ck;
                 (
-                    ModelState {
-                        scaler,
-                        forest,
-                        adaptive: adapt.or_else(fresh_adapt),
-                        alarm_threshold: alarm_threshold.unwrap_or(p.alarm_threshold),
-                        alarms_raised: alarms_raised.unwrap_or(0),
-                        schema: schema.clone(),
-                    },
+                    OnlineModel::restore(p, scaler, forest, adapt, alarm_threshold, alarms_raised),
                     labeller.unwrap_or_else(|| OnlineLabeller::new(p.window_days)),
                     next_seq.unwrap_or(0),
                     events_ingested.unwrap_or(0),
@@ -648,7 +613,7 @@ impl Engine {
                 .store(ad.drift_events(), Ordering::Relaxed);
             stats.model_rebuilds.store(ad.rebuilds(), Ordering::Relaxed);
         }
-        let snapshot = Arc::new(Mutex::new(model.snapshot()));
+        let snapshot = Arc::new(Mutex::new(ModelSnapshot::of(&model)));
         let fresh_alarms = Arc::new(Mutex::new(Vec::new()));
         let checkpoints: Arc<Mutex<VecDeque<CheckpointRequest>>> =
             Arc::new(Mutex::new(VecDeque::new()));
@@ -689,6 +654,7 @@ impl Engine {
             rx: wrx,
             rooms: rooms.clone(),
             model,
+            schema: schema.clone(),
             next_seq: start_seq,
             n_shards: n,
             snapshot_every: cfg.snapshot_every.max(1),
@@ -700,7 +666,11 @@ impl Engine {
         };
         let writer_handle = std::thread::Builder::new()
             .name("orfpred-writer".into())
-            .spawn(move || writer.run())
+            .spawn(move || {
+                let _close: Vec<CloseOnExit> =
+                    writer.rooms.iter().cloned().map(CloseOnExit).collect();
+                writer.run()
+            })
             // lint: allow(panic_path, reason="construction-time spawn failure before any stream state exists; failing fast is the only sane recovery")
             .expect("spawn writer thread");
 
@@ -806,37 +776,47 @@ impl Engine {
 
     /// Block until every event ingested before this call has been applied
     /// by the model writer (and is visible in alarms / the next snapshot).
-    /// Fails instead of waiting forever once the writer can no longer get
-    /// there: a shard thread or the writer has exited (a dead shard is
-    /// [`ServeError::WorkerPanicked`]), or the engine is shutting down.
+    /// Fails instead of waiting forever once the writer or a shard thread
+    /// has exited: [`ServeError::WorkerPanicked`] while the engine still
+    /// takes events, [`ServeError::ShuttingDown`] once shutdown has begun.
     pub fn flush(&self) -> Result<(), ServeError> {
         let (target, rooms) = {
             let st = self.ingest.lock();
             (st.next_seq, st.rooms.clone())
         };
         while self.stats.events_applied.load(Ordering::Acquire) < target {
-            let writer_gone = self
-                .writer_handle
-                .lock()
-                .as_ref()
-                .is_none_or(JoinHandle::is_finished);
-            if writer_gone || rooms.iter().any(|r| r.is_closed()) {
-                // Shards exit at a shutdown barrier too: only a shard that
-                // died while the engine still takes events is a crash.
-                return Err(if self.ingest.lock().txs.is_some() {
-                    ServeError::WorkerPanicked
-                } else {
-                    ServeError::ShuttingDown
-                });
+            if let Some(e) = self.stalled(&rooms) {
+                return Err(e);
             }
-            std::thread::sleep(std::time::Duration::from_micros(100));
+            std::thread::sleep(Duration::from_micros(100));
         }
         Ok(())
     }
 
+    /// Why the writer can no longer apply what was issued before now, or
+    /// `None` while it still can. It cannot once the writer or a shard
+    /// thread has exited: a crash while the engine still takes events,
+    /// shutdown once it has begun (shards exit at its barrier too).
+    fn stalled(&self, rooms: &[Arc<ShardRoom>]) -> Option<ServeError> {
+        let writer_gone = self
+            .writer_handle
+            .lock()
+            .as_ref()
+            .is_none_or(JoinHandle::is_finished);
+        if !writer_gone && !rooms.iter().any(|r| r.is_closed()) {
+            return None;
+        }
+        Some(if self.ingest.lock().txs.is_some() {
+            ServeError::WorkerPanicked
+        } else {
+            ServeError::ShuttingDown
+        })
+    }
+
     /// Write an atomic checkpoint of the full serving state to `path`.
     /// Blocks until the file is durably in place; events ingested after
-    /// this call are not included.
+    /// this call are not included. Fails instead of waiting forever once
+    /// the writer or a shard thread has exited, as [`Self::flush`] does.
     pub fn checkpoint(&self, path: &Path) -> Result<(), String> {
         let (done_tx, done_rx) = sync_channel(1);
         {
@@ -856,9 +836,22 @@ impl Engine {
                 .events_issued
                 .store(st.next_seq, Ordering::Relaxed);
         }
-        done_rx
-            .recv()
-            .map_err(|_| "the writer exited before completing the checkpoint".to_string())?
+        let rooms = self.ingest.lock().rooms.clone();
+        loop {
+            match done_rx.recv_timeout(Duration::from_millis(1)) {
+                Ok(result) => return result,
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err("the writer exited before completing the checkpoint".into())
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    if let Some(e) = self.stalled(&rooms) {
+                        // The writer may have saved this checkpoint just
+                        // before it stopped.
+                        return done_rx.try_recv().unwrap_or_else(|_| Err(e.to_string()));
+                    }
+                }
+            }
+        }
     }
 
     /// Shut down: barrier all shards, join every thread, and return the
@@ -1047,13 +1040,17 @@ fn shard_loop(
     }
 }
 
-/// The model writer: single owner of the ORF and scaler, applying events
-/// in global sequence order.
+/// The model writer: single owner of the model, applying events in global
+/// sequence order.
 struct WriterThread {
     rx: Receiver<(usize, Vec<WriterMsg>)>,
     /// The shards' event credit, given back as their events arrive.
     rooms: Vec<Arc<ShardRoom>>,
-    model: ModelState,
+    /// Algorithm 2's model step, shared with the serial predictor.
+    model: OnlineModel,
+    /// The engine's resolved domain, embedded in every checkpoint so a
+    /// restore against a different domain fails its fingerprint check.
+    schema: DomainSchema,
     next_seq: u64,
     n_shards: usize,
     snapshot_every: u64,
@@ -1070,7 +1067,6 @@ impl WriterThread {
     /// short of a complete shutdown barrier.
     fn run(mut self) -> Option<Finished> {
         let mut heap: BinaryHeap<BySeq> = BinaryHeap::new();
-        let mut scratch = vec![0.0f32; self.model.scaler.n_outputs()];
         let mut alarms: Vec<Alarm> = Vec::new();
         let mut applied_samples: u64 = 0;
 
@@ -1086,32 +1082,17 @@ impl WriterThread {
             // lint: allow(panic_path, reason="the pull loop above only exits with the heap head at next_seq, so pop() is Some")
             match heap.pop().expect("peeked").0 {
                 WriterMsg::Sample { rec, released, .. } => {
-                    // Exactly OnlinePredictor::observe_sample's order:
-                    // widen scaler → train on released (adaptation hook
-                    // after the forest update, so a rebuild is visible to
-                    // this event's own score) → score fresh row.
-                    self.model.scaler.update(&rec.features);
-                    if let Some(rel) = released {
-                        self.model
-                            .scaler
-                            .transform_into(&rel.features, &mut scratch);
-                        self.model.forest.update(&scratch, rel.positive);
-                        self.adapt_released(&rel.features, rel.positive);
+                    // A declared drift republishes at once, so score
+                    // requests see a rebuilt model without waiting for
+                    // the next scheduled snapshot.
+                    if self.model.learn(Some(&rec.features), released.as_slice()) {
+                        self.publish();
                     }
                     let t0 = Instant::now();
-                    self.model
-                        .scaler
-                        .transform_into(&rec.features, &mut scratch);
-                    let score = self.model.forest.score(&scratch);
+                    let (_, alarm) = self.model.predict(&rec);
                     self.stats.score_latency.record(t0.elapsed());
-                    if score >= self.model.alarm_threshold {
-                        self.model.alarms_raised += 1;
+                    if let Some(alarm) = alarm {
                         self.stats.alarms_raised.fetch_add(1, Ordering::Relaxed);
-                        let alarm = Alarm {
-                            disk_id: rec.disk_id,
-                            day: rec.day,
-                            score,
-                        };
                         alarms.push(alarm);
                         self.fresh_alarms.lock().push(alarm);
                     }
@@ -1121,12 +1102,8 @@ impl WriterThread {
                     }
                 }
                 WriterMsg::Failure { flushed, .. } => {
-                    for rel in flushed {
-                        self.model
-                            .scaler
-                            .transform_into(&rel.features, &mut scratch);
-                        self.model.forest.update(&scratch, true);
-                        self.adapt_released(&rel.features, true);
+                    if self.model.learn(None, &flushed) {
+                        self.publish();
                     }
                 }
                 WriterMsg::Marker { seq, labeller } => {
@@ -1143,10 +1120,8 @@ impl WriterThread {
                         self.advance();
                         break 'main Some((seq, labeller, req));
                     };
-                    let result = self
-                        .model
-                        .clone()
-                        .checkpoint(seq, labeller, req)
+                    let model = self.model.clone();
+                    let result = checkpoint(model, self.schema.clone(), seq, labeller, req)
                         .save_atomic_faulted(&path, &*self.injector)
                         .map_err(|e| e.to_string());
                     self.publish();
@@ -1157,7 +1132,7 @@ impl WriterThread {
         };
         self.publish();
         let (seq, labeller, req) = end?;
-        let checkpoint = self.model.checkpoint(seq, labeller, req);
+        let checkpoint = checkpoint(self.model, self.schema, seq, labeller, req);
         Some(Finished { alarms, checkpoint })
     }
 
@@ -1176,23 +1151,6 @@ impl WriterThread {
         }
         heap.extend(batch.into_iter().map(BySeq));
         true
-    }
-
-    /// Feed one released training sample (raw features + final label) to
-    /// the adaptation loop; on a declared shift, run the update policy and
-    /// publish the rebuilt model immediately so score requests see it
-    /// without waiting for the next scheduled snapshot.
-    fn adapt_released(&mut self, features: &[f32], positive: bool) {
-        let Some(adaptive) = self.model.adaptive.as_mut() else {
-            return;
-        };
-        if adaptive.on_released(features, positive).is_none() {
-            return;
-        }
-        if let Some(forest) = adaptive.rebuild(&self.model.scaler) {
-            self.model.forest = forest;
-        }
-        self.publish();
     }
 
     /// One barrier message per shard arrives with the same sequence number;
@@ -1237,7 +1195,7 @@ impl WriterThread {
     /// after the guard), and mirror the writer-owned counters into the
     /// shared stats.
     fn publish(&self) {
-        let fresh = self.model.snapshot();
+        let fresh = ModelSnapshot::of(&self.model);
         let _old = std::mem::replace(&mut *self.snapshot.lock(), fresh);
         self.stats
             .forest_samples_seen
@@ -1546,6 +1504,56 @@ mod tests {
                 "{n_shards} shard(s)"
             );
         }
+    }
+
+    /// Run `f` on a helper thread; panic unless it returns within 5 s.
+    fn within_5s<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()).unwrap());
+        rx.recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("{what} still waits on a dead writer after 5 s"))
+    }
+
+    #[test]
+    fn a_dead_writer_fails_checkpoint_ingest_and_flush() {
+        // A scaler that reads past the row panics the writer on the first
+        // sample. `Engine::restore` does not validate, so it takes it.
+        let mut c = cfg(1);
+        c.queue_capacity = 4;
+        let ck = Checkpoint::Online {
+            scaler: OnlineMinMax::new_log1p(&[0, 1, N_FEATURES]),
+            forest: orfpred_core::OnlineRandomForest::new(3, c.predictor.orf.clone(), 9),
+            version: None,
+            labeller: None,
+            alarm_threshold: None,
+            alarms_raised: None,
+            next_seq: None,
+            events_ingested: None,
+            prep: None,
+            adapt: None,
+            schema: None,
+            window: None,
+        };
+        let engine = Arc::new(Engine::restore(&c, ck));
+        engine.ingest_batch(samples(1, 0..3)).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "orfpred_engine_dead_writer_{}.json",
+            std::process::id()
+        ));
+        let saved = {
+            let engine = Arc::clone(&engine);
+            within_5s("checkpoint", move || engine.checkpoint(&path))
+        };
+        assert!(saved.is_err(), "{saved:?}");
+        let ingested = {
+            let engine = Arc::clone(&engine);
+            within_5s("ingest_batch", move || {
+                engine.ingest_batch(samples(1, 3..20))
+            })
+        };
+        assert_eq!(ingested, Err(ServeError::ShuttingDown));
+        let flushed = within_5s("flush", move || engine.flush());
+        assert_eq!(flushed, Err(ServeError::WorkerPanicked));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   per-disk labelling queues (Algorithm 2 state) and turns raw events
 //!   into labelled training samples;
 //! * **Single model writer** — labelled samples flow over bounded
-//!   channels into one writer thread that owns the forest and scaler,
-//!   applies updates in global sequence order (a reorder buffer undoes
-//!   shard interleaving), and raises alarms exactly as the serial
-//!   [`orfpred_core::OnlinePredictor`] would;
+//!   channels into one writer thread that owns the model, an
+//!   [`orfpred_core::OnlineModel`], and applies events in global sequence
+//!   order (a reorder buffer undoes shard interleaving). It runs the same
+//!   model step as the serial [`orfpred_core::OnlinePredictor`], so it
+//!   raises the same alarms;
 //! * **Snapshot scoring** — alarms are scored on the live forest inside
 //!   the writer; `score` requests read an immutable [`ModelSnapshot`]
 //!   (the forest compiled to a flat [`orfpred_trees::FrozenForest`]) that
@@ -25,7 +26,9 @@
 //!   form one consistent cut; files are written tmp → fsync → rename and
 //!   a restored daemon resumes byte-identically. Shutdown is one more
 //!   such barrier, so an engine that lost a shard has no final state and
-//!   `finish` fails;
+//!   `finish` fails. A checkpoint without a schema is SMART, and an engine
+//!   of another domain refuses it; when the writer dies, `checkpoint`,
+//!   `flush` and ingest fail instead of waiting;
 //! * **Protocol** — the line-delimited JSON requests and replies
 //!   ([`protocol`]) that the `orfpredd` loop in `orfpred-fleet` serves
 //!   over stdin and an optional TCP listener; live counters via [`stats`].

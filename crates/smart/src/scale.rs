@@ -209,6 +209,11 @@ impl OnlineMinMax {
         self.seen
     }
 
+    /// Selected input columns, in output order.
+    pub fn cols(&self) -> &[usize] {
+        &self.cols
+    }
+
     /// Number of output features.
     pub fn n_outputs(&self) -> usize {
         self.cols.len()

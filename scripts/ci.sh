@@ -4,15 +4,17 @@
 # steps of its lint and test jobs. Stages: release build, clippy (all
 # targets), rustfmt, rustdoc, the lints, the bench compile gate, the
 # repro smoke run, then tier-1 — every member's tests, including the
-# fault-injection suites with a pinned seed set (override with
-# TESTKIT_SEEDS=1,2,3 scripts/ci.sh — see README "Testing & fault
-# injection" and DESIGN.md §9).
+# fault-injection suites with a pinned seed set, the same TESTKIT_SEEDS
+# the workflow sets in its env (override with TESTKIT_SEEDS=1,2,3
+# scripts/ci.sh — see README "Testing & fault injection" and DESIGN.md
+# §9).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 # Pinned default so CI runs are reproducible; any failure prints an
-# `orfpred faultsim --seed <n> --size <z>` repro line.
+# `orfpred faultsim --seed <n> --size <z>` repro line. Keep it equal to
+# TESTKIT_SEEDS in .github/workflows/ci.yml.
 TESTKIT_SEEDS="${TESTKIT_SEEDS:-11,12,13,14,15,16}"
 export TESTKIT_SEEDS
 

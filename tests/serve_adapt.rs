@@ -54,7 +54,11 @@ fn adaptive_engine_matches_serial_bit_exactly_for_every_policy() {
             .filter_map(|event| serial.observe(event))
             .collect();
         serial.finish();
-        let adaptive = serial.adaptive().expect("adaptation loop armed");
+        let adaptive = serial
+            .model()
+            .adaptive
+            .as_ref()
+            .expect("adaptation loop armed");
         assert!(
             adaptive.drift_events() > 0,
             "{policy:?}: detector must fire on this stream"
@@ -150,7 +154,11 @@ fn live_daemon_lands_on_the_offline_closed_loop_model_state() {
     for event in &tape {
         serial.observe(event);
     }
-    let adaptive = serial.adaptive().expect("adaptation loop armed");
+    let adaptive = serial
+        .model()
+        .adaptive
+        .as_ref()
+        .expect("adaptation loop armed");
     assert_eq!(
         (adaptive.drift_events(), adaptive.rebuilds()),
         (closed.drift_events, closed.rebuilds),

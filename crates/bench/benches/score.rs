@@ -52,11 +52,6 @@ fn bench_score(c: &mut Criterion) {
     let frozen = forest.freeze();
     let probes = stream(N_PROBES, 4);
     let rows: Vec<&[f32]> = probes.iter().map(|(x, _)| x.as_slice()).collect();
-    // Column-major copy of the same probes (the telemetry-store shape).
-    let cols: Vec<Vec<f32>> = (0..N_FEATURES)
-        .map(|f| probes.iter().map(|(x, _)| x[f]).collect())
-        .collect();
-    let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
     // Pinned worker counts: 1 for per-thread numbers, the core count for
     // totals — recorded in BENCH_score.json, never inferred from batch size.
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
@@ -99,12 +94,6 @@ fn bench_score(c: &mut Criterion) {
     // (identical to _1t on a single-core host — the JSON notes the count).
     group.bench_function("frozen_batch_bf_mt_1k_rows", |b| {
         b.iter(|| frozen.score_rows_threaded(black_box(&rows), cores).len());
-    });
-
-    // Columnar gather straight off feature columns (the store-replay
-    // shape, no row materialization), one worker.
-    group.bench_function("frozen_batch_bf_cols_1t_1k_rows", |b| {
-        b.iter(|| frozen.score_columns_threaded(black_box(&col_refs), 1).len());
     });
 
     group.finish();

@@ -686,10 +686,9 @@ fn model_inspect(argv: &[String]) -> Result<(), String> {
         SavedModel::Online { forest, .. } => Some(forest.test_pool_bytes()),
         SavedModel::Offline { .. } => None,
     };
-    let frozen = saved.freeze();
-    let f = frozen.forest();
+    let f = saved.freeze().forest;
 
-    println!("{}", frozen.kind());
+    println!("{} (frozen)", saved.kind());
     println!(
         "trees: {}   nodes: {}   leaves: {}   features: {}",
         f.n_trees(),

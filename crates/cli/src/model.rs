@@ -8,13 +8,13 @@
 //! file boots a daemon. v1 files (scaler + forest only) predate the
 //! serving fields, which are therefore all optional.
 
-use orfpred_core::{OnlineLabeller, OnlineRandomForest, OrfConfig};
+use orfpred_core::{FrozenModel, OnlineLabeller, OnlineRandomForest, OrfConfig};
 use orfpred_eval::prep::{build_matrix, stream_orf, training_labels};
 use orfpred_smart::attrs::table2_feature_columns;
 use orfpred_smart::record::Dataset;
 use orfpred_smart::scale::{MinMaxScaler, OnlineMinMax};
-use orfpred_trees::{ForestConfig, FrozenForest, RandomForest};
-use orfpred_util::{Matrix, Xoshiro256pp};
+use orfpred_trees::{ForestConfig, RandomForest};
+use orfpred_util::Xoshiro256pp;
 use serde::{Deserialize, Serialize};
 
 /// A trained model plus the preprocessing it expects.
@@ -123,69 +123,14 @@ impl SavedModel {
     /// to [`Self::score`] at the freeze point.
     pub fn freeze(&self) -> FrozenModel {
         match self {
-            SavedModel::Offline { scaler, forest } => FrozenModel::Offline {
+            SavedModel::Offline { scaler, forest } => FrozenModel {
                 scaler: scaler.clone(),
                 forest: forest.freeze(),
             },
-            SavedModel::Online { scaler, forest, .. } => FrozenModel::Online {
-                scaler: scaler.clone(),
+            SavedModel::Online { scaler, forest, .. } => FrozenModel {
+                scaler: scaler.freeze(),
                 forest: forest.freeze(),
             },
-        }
-    }
-}
-
-/// A [`SavedModel`] compiled for scoring: the flat frozen forest plus the
-/// matching preprocessing. This is what every CLI scoring path runs.
-pub enum FrozenModel {
-    /// Frozen offline RF + offline scaler.
-    Offline {
-        /// Scaler fitted on the training rows.
-        scaler: MinMaxScaler,
-        /// Compiled forest.
-        forest: FrozenForest,
-    },
-    /// Frozen ORF (mature pool at freeze time) + streaming scaler state.
-    Online {
-        /// Streaming scaler at the freeze point.
-        scaler: OnlineMinMax,
-        /// Compiled forest.
-        forest: FrozenForest,
-    },
-}
-
-impl FrozenModel {
-    /// Batch-score raw rows: scale once, then run the frozen batch kernel
-    /// (bit-identical to scaling and scoring each row individually).
-    pub fn score_rows(&self, rows: &[&[f32]]) -> Vec<f32> {
-        let mut scaled = Matrix::with_capacity(self.forest().n_features(), rows.len());
-        match self {
-            FrozenModel::Offline { scaler, .. } => {
-                for r in rows {
-                    scaled.push_row(&scaler.transform(r));
-                }
-            }
-            FrozenModel::Online { scaler, .. } => {
-                for r in rows {
-                    scaled.push_row(&scaler.transform(r));
-                }
-            }
-        }
-        self.forest().score_batch(&scaled)
-    }
-
-    /// The compiled forest (inspection / batch paths).
-    pub fn forest(&self) -> &FrozenForest {
-        match self {
-            FrozenModel::Offline { forest, .. } | FrozenModel::Online { forest, .. } => forest,
-        }
-    }
-
-    /// Human-readable kind.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            FrozenModel::Offline { .. } => "offline random forest (frozen)",
-            FrozenModel::Online { .. } => "online random forest (frozen)",
         }
     }
 }
@@ -311,7 +256,7 @@ mod tests {
                     batch[i].to_bits(),
                     model.score(r).to_bits(),
                     "{} row {i}",
-                    frozen.kind()
+                    model.kind()
                 );
             }
         }

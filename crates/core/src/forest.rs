@@ -200,11 +200,6 @@ impl OnlineRandomForest {
         sum / n as f32
     }
 
-    /// Score many rows, one after another.
-    pub fn score_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        rows.iter().map(|r| self.score(r)).collect()
-    }
-
     /// Hard prediction at vote threshold `tau`.
     pub fn predict(&self, x: &[f32], tau: f32) -> bool {
         self.score(x) >= tau

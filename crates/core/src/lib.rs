@@ -18,6 +18,9 @@
 //!   min–max scaler + ORF + adaptation hook + alarm threshold, which learns
 //!   from released samples and scores fresh ones. The serial predictor
 //!   and the serve engine's model writer both run it;
+//! * [`frozen::FrozenModel`] — the fixed scaler + [`orfpred_trees::FrozenForest`]
+//!   pair that serve snapshots, the CLI and the eval harnesses score with;
+//!   [`online::OnlineModel::freeze`] builds one;
 //! * [`online::OnlinePredictor`] — Algorithm 2 end-to-end: one
 //!   [`online::OnlineModel`] behind the labeller, consuming the fleet event
 //!   stream directly (optionally through the `orfpred-prep` preprocessing
@@ -32,6 +35,7 @@
 pub mod adapt;
 pub mod config;
 pub mod forest;
+pub mod frozen;
 pub mod labeller;
 pub mod online;
 pub mod tree;
@@ -39,6 +43,7 @@ pub mod tree;
 pub use adapt::{AdaptConfig, AdaptiveState, UpdatePolicy};
 pub use config::OrfConfig;
 pub use forest::OnlineRandomForest;
+pub use frozen::FrozenModel;
 pub use labeller::{OnlineLabeller, ReleasedSample};
 pub use online::{Alarm, OnlineModel, OnlinePredictor, OnlinePredictorConfig};
 pub use tree::OnlineTree;

@@ -21,13 +21,13 @@
 use crate::adapt::{AdaptConfig, AdaptiveState};
 use crate::config::OrfConfig;
 use crate::forest::OnlineRandomForest;
+use crate::frozen::FrozenModel;
 use crate::labeller::{OnlineLabeller, ReleasedSample};
 use orfpred_prep::{PrepConfig, Preprocessor};
 use orfpred_smart::gen::FleetEvent;
 use orfpred_smart::record::DiskDay;
 use orfpred_smart::scale::OnlineMinMax;
 use orfpred_smart::{DomainSchema, WindowStage};
-use orfpred_trees::FrozenForest;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the online predictor.
@@ -219,11 +219,14 @@ impl OnlineModel {
         self.forest.score(&scaled)
     }
 
-    /// Freeze the current state for batch scoring: the compiled forest
-    /// plus a copy of the streaming scaler. Scoring a raw row with the
-    /// pair is bit-identical to [`Self::score_row`] at the freeze point.
-    pub fn freeze(&self) -> (FrozenForest, OnlineMinMax) {
-        (self.forest.freeze(), self.scaler.clone())
+    /// Freeze the current state for scoring: the scaler's current bounds
+    /// in front of the compiled forest. Its scores are bit-identical to
+    /// [`Self::score_row`] at the freeze point.
+    pub fn freeze(&self) -> FrozenModel {
+        FrozenModel {
+            scaler: self.scaler.freeze(),
+            forest: self.forest.freeze(),
+        }
     }
 }
 

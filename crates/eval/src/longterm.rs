@@ -19,9 +19,9 @@
 use crate::metrics::{monthly_outcome_with, scored_disks_censored, MonthlyOutcome};
 use crate::prep::{build_matrix, training_labels, training_labels_range};
 use crate::report::{Figure, Series};
-use crate::scorer::{FrozenScorer, Scorer};
+use crate::scorer::Scorer;
 use crate::split::DiskSplit;
-use orfpred_core::{AdaptConfig, OnlinePredictor, OnlinePredictorConfig, OrfConfig};
+use orfpred_core::{AdaptConfig, FrozenModel, OnlinePredictor, OnlinePredictorConfig, OrfConfig};
 use orfpred_smart::record::Dataset;
 use orfpred_trees::{ForestConfig, RandomForest};
 use orfpred_util::Xoshiro256pp;
@@ -194,7 +194,7 @@ pub fn run_longterm(ds: &Dataset, cfg: &LongtermConfig) -> LongtermResult {
     let frozen_scores =
         build_matrix(ds, &initial_labels, &cfg.cols, cfg.lambda, &mut rng).map(|tm| {
             let model = RandomForest::fit(&tm.x, &tm.y, &cfg.forest, rng.next_u64());
-            let scorer = FrozenScorer {
+            let scorer = FrozenModel {
                 forest: model.freeze(),
                 scaler: tm.scaler,
             };
@@ -425,7 +425,7 @@ fn nan_outcome(month: usize) -> MonthlyOutcome {
 
 /// Pre-score every record with `rec.day` in `[from, to)` through the
 /// scorer's batch path ([`Scorer::score_raw_many`] — the frozen
-/// breadth-first kernels for tree scorers). Positions outside the range
+/// breadth-first kernel for a [`FrozenModel`]). Positions outside the range
 /// stay 0.0; the day-range-filtered consumers
 /// ([`scored_disks_censored`], [`monthly_outcome_with`]) never read them.
 fn prescore_range<S: Scorer>(ds: &Dataset, scorer: &S, from: u16, to: u16) -> Vec<f32> {
@@ -464,7 +464,7 @@ fn train_and_eval(
         return nan_outcome(month);
     };
     let model = RandomForest::fit(&tm.x, &tm.y, &cfg.forest, rng.next_u64());
-    let scorer = FrozenScorer {
+    let scorer = FrozenModel {
         forest: model.freeze(),
         scaler: tm.scaler,
     };

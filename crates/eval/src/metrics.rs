@@ -159,7 +159,7 @@ pub struct RocPoint {
 ///
 /// `window` is the prediction horizon (7 days in the paper). Gathers every
 /// eligible sample into one flat batch and scores it via
-/// [`Scorer::score_raw_many`], so frozen scorers run their interleaved
+/// [`Scorer::score_raw_many`], so frozen models run their interleaved
 /// breadth-first kernels; the per-disk maxima are then folded from
 /// contiguous spans of the batch. Bit-identical to scoring row by row with
 /// [`scored_disks_with`] (same eligibility filter, same `>` max fold).

@@ -12,9 +12,9 @@
 use crate::metrics::score_test_disks;
 use crate::prep::{build_matrix, training_labels};
 use crate::report::{Figure, Series};
-use crate::scorer::{FrozenOrfScorer, FrozenScorer, SvmScorer};
+use crate::scorer::SvmScorer;
 use crate::split::DiskSplit;
-use orfpred_core::{OnlinePredictor, OnlinePredictorConfig, OrfConfig};
+use orfpred_core::{FrozenModel, OnlinePredictor, OnlinePredictorConfig, OrfConfig};
 use orfpred_smart::record::Dataset;
 use orfpred_svm::{Kernel, Svm, SvmConfig};
 use orfpred_trees::{CartConfig, DecisionTree, ForestConfig, RandomForest};
@@ -191,16 +191,7 @@ pub fn run_monthly(ds: &Dataset, cfg: &MonthlyConfig) -> MonthlyResult {
         // Evaluate every model on the full test set at FAR ≈ target. The
         // ORF is frozen at the month boundary — batch evaluation scores a
         // fixed model state, so the flat representation applies.
-        let (orf_frozen, orf_scaler) = predictor.model().freeze();
-        let orf_scored = score_test_disks(
-            ds,
-            &split.test,
-            &FrozenOrfScorer {
-                forest: orf_frozen,
-                scaler: orf_scaler,
-            },
-            cfg.window,
-        );
+        let orf_scored = score_test_disks(ds, &split.test, &predictor.model().freeze(), cfg.window);
         let orf_op = orf_scored.tune_for_far(cfg.target_far);
 
         let labels = training_labels(ds, &split.is_train, cutoff, cfg.window);
@@ -210,7 +201,7 @@ pub fn run_monthly(ds: &Dataset, cfg: &MonthlyConfig) -> MonthlyResult {
             None => (None, None, None),
             Some(tm) => {
                 let rf = RandomForest::fit(&tm.x, &tm.y, &cfg.forest, rng.next_u64());
-                let rf_scorer = FrozenScorer {
+                let rf_scorer = FrozenModel {
                     forest: rf.freeze(),
                     scaler: tm.scaler.clone(),
                 };
@@ -228,7 +219,7 @@ pub fn run_monthly(ds: &Dataset, cfg: &MonthlyConfig) -> MonthlyResult {
                             ..cfg.dt.clone()
                         };
                         let dt = DecisionTree::fit(&tm.x, &tm.y, &dt_cfg, &mut rng);
-                        let dt_scorer = FrozenScorer {
+                        let dt_scorer = FrozenModel {
                             forest: dt.freeze(),
                             scaler: tm.scaler.clone(),
                         };

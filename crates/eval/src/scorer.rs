@@ -7,12 +7,11 @@
 //! values) — the metrics only use their ordering.
 
 use orfpred_baselines::{GaussianNaiveBayes, Gbdt, MahalanobisDetector};
-use orfpred_core::{OnlinePredictor, OnlineRandomForest};
+use orfpred_core::{FrozenModel, OnlinePredictor, OnlineRandomForest};
 use orfpred_smart::scale::{MinMaxScaler, OnlineMinMax};
 use orfpred_svm::Svm;
 use orfpred_trees::threshold::ThresholdModel;
-use orfpred_trees::{DecisionTree, FrozenForest, RandomForest};
-use orfpred_util::Matrix;
+use orfpred_trees::{DecisionTree, RandomForest};
 
 /// Anything that can score a raw SMART snapshot.
 pub trait Scorer: Sync {
@@ -20,10 +19,10 @@ pub trait Scorer: Sync {
     fn score_raw(&self, features: &[f32]) -> f32;
 
     /// Batch scoring: must return exactly what mapping [`Self::score_raw`]
-    /// over `rows` would, bit for bit. The default does just that; the
-    /// frozen tree scorers override it to run the breadth-first interleaved
-    /// batch kernels, which the eval harnesses (monthly / longterm /
-    /// streaming / zoo) all funnel through.
+    /// over `rows` would, bit for bit. The default does just that;
+    /// [`FrozenModel`] overrides it to run the breadth-first interleaved
+    /// batch kernel, which the eval harnesses (monthly / longterm / zoo)
+    /// funnel through.
     fn score_raw_many(&self, rows: &[&[f32]]) -> Vec<f32> {
         rows.iter().map(|r| self.score_raw(r)).collect()
     }
@@ -100,92 +99,17 @@ impl Scorer for OrfScorer<'_> {
     }
 }
 
-/// A frozen forest + the offline scaler it was trained behind — the batch
-/// scoring path every *offline* tree model (DT, RF) funnels through after
-/// `freeze()`. Scores are bit-identical to the live model's.
-pub struct FrozenScorer {
-    /// Compiled forest.
-    pub forest: FrozenForest,
-    /// Scaler fitted on the model's training rows.
-    pub scaler: MinMaxScaler,
-}
-
-impl Scorer for FrozenScorer {
+/// A scaler + frozen forest: the scoring path every tree model funnels
+/// through after `freeze()` — offline DT and RF behind their fitted
+/// scaler, the ORF behind its streaming scaler's bounds. Batches run the
+/// frozen row kernel; scores are bit-identical to the live model's.
+impl Scorer for FrozenModel {
     fn score_raw(&self, features: &[f32]) -> f32 {
-        self.forest.score(&self.scaler.transform(features))
+        self.score(features)
     }
 
     fn score_raw_many(&self, rows: &[&[f32]]) -> Vec<f32> {
-        self.score_raw_batch(rows)
-    }
-}
-
-impl FrozenScorer {
-    /// Batch-score raw rows: scale once into a [`Matrix`], then run the
-    /// frozen batch kernel. Equivalent to mapping [`Scorer::score_raw`].
-    pub fn score_raw_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        let mut scaled = Matrix::with_capacity(self.scaler.n_outputs(), rows.len());
-        for r in rows {
-            scaled.push_row(&self.scaler.transform(r));
-        }
-        self.forest.score_batch(&scaled)
-    }
-
-    /// Batch-score raw *columns* (one slice per raw feature, equal
-    /// lengths): scale column-wise, then run the frozen columnar kernel.
-    /// This is the telemetry-store replay path — a decoded segment feeds
-    /// straight in with no row materialization — and every element goes
-    /// through the same arithmetic as [`Scorer::score_raw`], so scores are
-    /// bit-identical to the row paths.
-    pub fn score_raw_columns(&self, cols: &[&[f32]]) -> Vec<f32> {
-        let scaled = self.scaler.transform_columns(cols);
-        let refs: Vec<&[f32]> = scaled.iter().map(|c| c.as_slice()).collect();
-        self.forest.score_columns(&refs)
-    }
-}
-
-/// A frozen forest + the *streaming* scaler state it was frozen with — the
-/// batch scoring path for online models (ORF, `OnlinePredictor::freeze`).
-pub struct FrozenOrfScorer {
-    /// Compiled forest (the mature scoring pool at freeze time).
-    pub forest: FrozenForest,
-    /// Streaming scaler at the same point in the stream.
-    pub scaler: OnlineMinMax,
-}
-
-impl Scorer for FrozenOrfScorer {
-    fn score_raw(&self, features: &[f32]) -> f32 {
-        let mut scaled = vec![0.0f32; self.scaler.n_outputs()];
-        self.scaler.transform_into(features, &mut scaled);
-        self.forest.score(&scaled)
-    }
-
-    fn score_raw_many(&self, rows: &[&[f32]]) -> Vec<f32> {
-        self.score_raw_batch(rows)
-    }
-}
-
-impl FrozenOrfScorer {
-    /// Batch-score raw rows: scale once into a [`Matrix`], then run the
-    /// frozen batch kernel. Equivalent to mapping [`Scorer::score_raw`].
-    pub fn score_raw_batch(&self, rows: &[&[f32]]) -> Vec<f32> {
-        let mut scaled_row = vec![0.0f32; self.scaler.n_outputs()];
-        let mut scaled = Matrix::with_capacity(self.scaler.n_outputs(), rows.len());
-        for r in rows {
-            self.scaler.transform_into(r, &mut scaled_row);
-            scaled.push_row(&scaled_row);
-        }
-        self.forest.score_batch(&scaled)
-    }
-
-    /// Batch-score raw *columns* (one slice per raw feature, equal
-    /// lengths): scale column-wise with the streaming bounds, then run the
-    /// frozen columnar kernel — the store-fed ORF path. Bit-identical to
-    /// the row paths (same scaling expression, same kernel arithmetic).
-    pub fn score_raw_columns(&self, cols: &[&[f32]]) -> Vec<f32> {
-        let scaled = self.scaler.transform_columns(cols);
-        let refs: Vec<&[f32]> = scaled.iter().map(|c| c.as_slice()).collect();
-        self.forest.score_columns(&refs)
+        self.score_rows(rows)
     }
 }
 
@@ -307,23 +231,17 @@ mod tests {
             &orfpred_trees::ForestConfig::default(),
             rng.next_u64(),
         );
-        let frozen = FrozenScorer {
+        let frozen = FrozenModel {
             forest: model.freeze(),
             scaler: scaler.clone(),
         };
         let live = RfScorer { model, scaler };
         let refs: Vec<&[f32]> = raw_rows.iter().map(|r| r.as_slice()).collect();
-        let batch = frozen.score_raw_batch(&refs);
-        let cols: Vec<Vec<f32>> = (0..N_FEATURES)
-            .map(|c| raw_rows.iter().map(|r| r[c]).collect())
-            .collect();
-        let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
-        let by_col = frozen.score_raw_columns(&col_refs);
+        let batch = frozen.score_raw_many(&refs);
         for (i, r) in refs.iter().enumerate() {
             let f = frozen.score_raw(r);
             assert_eq!(f.to_bits(), live.score_raw(r).to_bits(), "row {i}");
             assert_eq!(f.to_bits(), batch[i].to_bits(), "batch row {i}");
-            assert_eq!(f.to_bits(), by_col[i].to_bits(), "columnar row {i}");
         }
     }
 

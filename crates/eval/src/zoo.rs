@@ -7,13 +7,10 @@
 //! unsupervised), per-disk FDR at the FAR-pinned operating point plus AUC.
 
 use crate::prep::{build_matrix, stream_orf, training_labels};
-use crate::scorer::{
-    FrozenOrfScorer, FrozenScorer, GbdtScorer, MdScorer, NbScorer, Scorer, SvmScorer,
-    ThresholdScorer,
-};
+use crate::scorer::{GbdtScorer, MdScorer, NbScorer, Scorer, SvmScorer, ThresholdScorer};
 use crate::split::DiskSplit;
 use orfpred_baselines::{GaussianNaiveBayes, Gbdt, GbdtConfig, MahalanobisDetector};
-use orfpred_core::OrfConfig;
+use orfpred_core::{FrozenModel, OrfConfig};
 use orfpred_smart::record::Dataset;
 use orfpred_svm::{Kernel, Svm, SvmConfig};
 use orfpred_trees::threshold::ThresholdModel;
@@ -163,7 +160,7 @@ pub fn run_zoo(ds: &Dataset, cfg: &ZooConfig) -> Vec<ZooRow> {
         "Decision tree",
         "Li et al. 2014 (CART)",
         t0.elapsed().as_millis() as u64,
-        &FrozenScorer {
+        &FrozenModel {
             forest: dt.freeze(),
             scaler: tm.scaler.clone(),
         },
@@ -213,7 +210,7 @@ pub fn run_zoo(ds: &Dataset, cfg: &ZooConfig) -> Vec<ZooRow> {
         "Random forest",
         "Breiman 2001 (paper's offline RF)",
         t0.elapsed().as_millis() as u64,
-        &FrozenScorer {
+        &FrozenModel {
             forest: rf.freeze(),
             scaler: tm.scaler.clone(),
         },
@@ -226,9 +223,9 @@ pub fn run_zoo(ds: &Dataset, cfg: &ZooConfig) -> Vec<ZooRow> {
         "ORF (this paper)",
         "Xiao et al. 2018",
         t0.elapsed().as_millis() as u64,
-        &FrozenOrfScorer {
+        &FrozenModel {
             forest: forest.freeze(),
-            scaler,
+            scaler: scaler.freeze(),
         },
     );
 
@@ -236,8 +233,8 @@ pub fn run_zoo(ds: &Dataset, cfg: &ZooConfig) -> Vec<ZooRow> {
 }
 
 /// Batched variant of [`score_test_disks`] for `dyn Scorer`: all eligible
-/// samples go through one [`Scorer::score_raw_many`] call (the frozen
-/// scorers route it to the breadth-first batch kernels), then per-disk
+/// samples go through one [`Scorer::score_raw_many`] call (frozen models
+/// route it to the breadth-first batch kernel), then per-disk
 /// maxima fold over contiguous spans — bit-identical to the old per-row
 /// loop.
 fn score_disks_serial(

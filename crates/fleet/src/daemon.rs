@@ -29,7 +29,7 @@
 //! tenant next (JSON lines carry a `"tenant"` tag; binary sessions only
 //! ever see their bound tenant's alarms). At shutdown every tenant drains
 //! and the per-tenant results — full alarm history, final checkpoint,
-//! lifetime counters — are returned to the caller.
+//! the run's counters — are returned to the caller.
 
 use crate::engine::{FleetEngine, TenantConfig, TenantFinished};
 use crate::wire::{frame_buffered, read_frame, ClientFrame, ServerFrame, WIRE_MAGIC, WIRE_VERSION};
@@ -583,7 +583,7 @@ fn serve_json(
 }
 
 /// Run the fleet daemon until `shutdown` or end of primary input. Returns
-/// per-tenant results (full alarm history, final checkpoint, lifetime
+/// per-tenant results (full alarm history, final checkpoint, the run's
 /// counters) in configuration order.
 pub fn run(
     cfg: &FleetDaemonConfig,

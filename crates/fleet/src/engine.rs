@@ -93,13 +93,16 @@ impl From<ServeError> for FleetError {
     }
 }
 
-/// Per-tenant lifetime counters (across reshard epochs), reported in the
-/// fleet `stats` response and the daemon's shutdown summary.
+/// Per-tenant counters summed across reshard epochs, reported in the
+/// fleet `stats` response and the daemon's shutdown summary. `events`,
+/// `alarms` and `reshards` count this daemon run only and start at 0 on
+/// every start, restored or not; `drift_events` and `model_rebuilds` ride
+/// the checkpoint.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct TenantCounters {
-    /// Raw events (samples + failures) ingested over the tenant's life.
+    /// Raw events (samples + failures) ingested this daemon run.
     pub events: u64,
-    /// Alarms raised over the tenant's life.
+    /// Alarms raised this daemon run.
     pub alarms: u64,
     /// Distribution shifts declared by the adaptation loop (cumulative —
     /// this rides the checkpoint, surviving reshards and restarts).
@@ -110,15 +113,15 @@ pub struct TenantCounters {
     pub reshards: u64,
 }
 
-/// Point-in-time per-tenant stats: lifetime counters plus the current
-/// engine epoch's full [`StatsReport`].
+/// Point-in-time per-tenant stats: the tenant's [`TenantCounters`] plus
+/// the current engine epoch's full [`StatsReport`].
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TenantStats {
     /// Tenant name.
     pub tenant: String,
     /// Current shard count.
     pub n_shards: u64,
-    /// Lifetime counters.
+    /// Counters summed across this run's reshard epochs.
     pub counters: TenantCounters,
     /// The current engine epoch's counters (reset at reshard/restart).
     pub engine: StatsReport,
@@ -134,7 +137,7 @@ pub struct TenantFinished {
     /// Final checkpoint (same bytes a `checkpoint` request at shutdown
     /// would have written).
     pub checkpoint: Checkpoint,
-    /// Lifetime counters at shutdown.
+    /// The run's counters at shutdown.
     pub counters: TenantCounters,
 }
 

@@ -254,8 +254,9 @@ impl Checkpoint {
     /// Structural consistency checks on a parsed checkpoint: pieces that
     /// deserialize fine individually but cannot have come from one engine
     /// are rejected here, before they can panic deep inside scoring or
-    /// restore (scaler/forest width mismatch, a scaler column past its
-    /// domain's row, a zero labelling window, a version from the future).
+    /// restore (scaler/forest width mismatch, scaler bounds that do not
+    /// match its columns, a scaler column past its domain's row, a zero
+    /// labelling window, a version from the future).
     pub fn validate(&self) -> Result<(), String> {
         // lint: allow(checkpoint_coverage, reason="shape validation probes only the structurally constrained fields; Engine::restore consumes every field")
         let Checkpoint::Online {
@@ -278,6 +279,7 @@ impl Checkpoint {
         if scaler.n_outputs() == 0 {
             return Err("scaler has zero output columns".into());
         }
+        scaler.validate()?;
         if scaler.n_outputs() != forest.n_features() {
             return Err(format!(
                 "scaler produces {} features but the forest expects {}",
@@ -575,6 +577,34 @@ mod tests {
                     assert!(detail.contains("column 48"), "{detail}")
                 }
                 other => panic!("expected Corrupt, got {other:?}"),
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn a_scaler_with_short_bounds_is_corrupt() {
+        // Null bounds read back as NaN, the shape of a scaler saved before
+        // its first row: valid at full length, corrupt when one is missing.
+        for (max, ok) in [("[null,null]", true), ("[null]", false), ("[]", false)] {
+            let mut ck = tiny();
+            let Checkpoint::Online { scaler, .. } = &mut ck;
+            *scaler = serde_json::from_str(&format!(
+                r#"{{"cols":[0,2],"min":[null,null],"max":{max},"seen":0,"log1p":true}}"#
+            ))
+            .unwrap();
+            let path = std::env::temp_dir().join(format!(
+                "orfpred_serve_ckpt_short_bounds_{}.json",
+                std::process::id()
+            ));
+            std::fs::write(&path, serde_json::to_vec(&ck).unwrap()).unwrap();
+            match Checkpoint::load(&path) {
+                Ok(_) => assert!(ok, "max {max} loaded"),
+                Err(CheckpointError::Corrupt { detail, .. }) => {
+                    assert!(!ok, "max {max}: {detail}");
+                    assert!(detail.contains("2 columns"), "{detail}");
+                }
+                Err(other) => panic!("max {max}: expected Corrupt, got {other:?}"),
             }
             std::fs::remove_file(&path).ok();
         }

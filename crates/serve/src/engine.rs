@@ -64,13 +64,13 @@
 use crate::checkpoint::{Checkpoint, CHECKPOINT_VERSION};
 use crate::fault::{FaultInjector, NoFaults};
 use crate::stats::{ServeStats, StatsReport};
-use orfpred_core::{Alarm, OnlineLabeller, OnlineModel, OnlinePredictorConfig, ReleasedSample};
+use orfpred_core::{
+    Alarm, FrozenModel, OnlineLabeller, OnlineModel, OnlinePredictorConfig, ReleasedSample,
+};
 use orfpred_prep::Preprocessor;
 use orfpred_smart::gen::FleetEvent;
 use orfpred_smart::record::DiskDay;
-use orfpred_smart::scale::OnlineMinMax;
 use orfpred_smart::{DomainSchema, WindowStage};
-use orfpred_trees::FrozenForest;
 use parking_lot::Mutex;
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -118,32 +118,6 @@ impl ServeConfig {
             snapshot_every: 256,
             injector: Arc::new(NoFaults),
         }
-    }
-}
-
-/// Immutable published model state, what `score` requests read. Readers
-/// clone its `Arc` under a mutex held only for that clone and score on
-/// frozen state, so they never wait on training.
-pub struct ModelSnapshot {
-    /// Streaming scaler state at publication time.
-    pub scaler: OnlineMinMax,
-    /// The forest at publication time, compiled to the flat scoring
-    /// representation (no candidate-test pools, no growth state).
-    pub forest: FrozenForest,
-}
-
-impl ModelSnapshot {
-    /// The model compiled to its frozen scoring form.
-    fn of(model: &OnlineModel) -> Arc<Self> {
-        let (forest, scaler) = model.freeze();
-        Arc::new(Self { scaler, forest })
-    }
-
-    /// Score a full-width feature row against this frozen model.
-    pub fn score(&self, features: &[f32]) -> f32 {
-        let mut scaled = vec![0.0f32; self.scaler.n_outputs()];
-        self.scaler.transform_into(features, &mut scaled);
-        self.forest.score(&scaled)
     }
 }
 
@@ -499,9 +473,10 @@ impl Drop for CloseOnExit {
 pub struct Engine {
     ingest: Mutex<IngestState>,
     stats: Arc<ServeStats>,
-    /// The latest published snapshot. The lock is held only to swap or
+    /// The latest published snapshot: the model frozen at publication
+    /// time, what `score` requests read. The lock is held only to swap or
     /// clone the `Arc`, never while a snapshot is built or scored.
-    snapshot: Arc<Mutex<Arc<ModelSnapshot>>>,
+    snapshot: Arc<Mutex<Arc<FrozenModel>>>,
     fresh_alarms: Arc<Mutex<Vec<Alarm>>>,
     checkpoints: Arc<Mutex<VecDeque<CheckpointRequest>>>,
     shard_handles: Mutex<Vec<JoinHandle<()>>>,
@@ -613,7 +588,7 @@ impl Engine {
                 .store(ad.drift_events(), Ordering::Relaxed);
             stats.model_rebuilds.store(ad.rebuilds(), Ordering::Relaxed);
         }
-        let snapshot = Arc::new(Mutex::new(ModelSnapshot::of(&model)));
+        let snapshot = Arc::new(Mutex::new(Arc::new(model.freeze())));
         let fresh_alarms = Arc::new(Mutex::new(Vec::new()));
         let checkpoints: Arc<Mutex<VecDeque<CheckpointRequest>>> =
             Arc::new(Mutex::new(VecDeque::new()));
@@ -752,7 +727,7 @@ impl Engine {
     }
 
     /// The latest published model snapshot.
-    pub fn model_snapshot(&self) -> Arc<ModelSnapshot> {
+    pub fn model_snapshot(&self) -> Arc<FrozenModel> {
         Arc::clone(&self.snapshot.lock())
     }
 
@@ -1055,7 +1030,7 @@ struct WriterThread {
     n_shards: usize,
     snapshot_every: u64,
     stats: Arc<ServeStats>,
-    snapshot: Arc<Mutex<Arc<ModelSnapshot>>>,
+    snapshot: Arc<Mutex<Arc<FrozenModel>>>,
     fresh_alarms: Arc<Mutex<Vec<Alarm>>>,
     checkpoints: Arc<Mutex<VecDeque<CheckpointRequest>>>,
     injector: Arc<dyn FaultInjector>,
@@ -1195,7 +1170,7 @@ impl WriterThread {
     /// after the guard), and mirror the writer-owned counters into the
     /// shared stats.
     fn publish(&self) {
-        let fresh = ModelSnapshot::of(&self.model);
+        let fresh = Arc::new(self.model.freeze());
         let _old = std::mem::replace(&mut *self.snapshot.lock(), fresh);
         self.stats
             .forest_samples_seen
@@ -1221,6 +1196,7 @@ impl WriterThread {
 mod tests {
     use super::*;
     use orfpred_smart::attrs::N_FEATURES;
+    use orfpred_smart::scale::OnlineMinMax;
 
     fn cfg(n_shards: usize) -> ServeConfig {
         let mut p = OnlinePredictorConfig::new(vec![0, 1, 2], 9);

@@ -16,9 +16,10 @@
 //!   model step as the serial [`orfpred_core::OnlinePredictor`], so it
 //!   raises the same alarms;
 //! * **Snapshot scoring** — alarms are scored on the live forest inside
-//!   the writer; `score` requests read an immutable [`ModelSnapshot`]
-//!   (the forest compiled to a flat [`orfpred_trees::FrozenForest`]) that
-//!   the writer republishes every `snapshot_every` samples. The snapshot
+//!   the writer; `score` requests read an immutable
+//!   [`orfpred_core::FrozenModel`] (the scaler's bounds in front of the
+//!   forest compiled to a flat `FrozenForest`) that the writer republishes
+//!   every `snapshot_every` samples. The snapshot
 //!   `Arc` sits under a plain mutex held only to swap or clone it, so a
 //!   request never waits on training;
 //! * **Atomic checkpoints** — a barrier token flows through every shard
@@ -42,7 +43,7 @@ pub mod protocol;
 pub mod stats;
 
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
-pub use engine::{shard_of, Engine, Finished, ModelSnapshot, ServeConfig, ServeError};
+pub use engine::{shard_of, Engine, Finished, ServeConfig, ServeError};
 pub use fault::{CheckpointFault, FaultInjector, NoFaults};
 pub use protocol::{pad_features, ProtocolError, Request, Response, MAX_FRAME_LEN};
 pub use stats::{LatencyHistogram, ServeStats, StatsReport};

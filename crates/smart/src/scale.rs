@@ -9,6 +9,10 @@
 //! [`OnlineMinMax`] is the streaming variant used by the online predictor:
 //! bounds widen as data arrives, which keeps the transform well-defined from
 //! the very first sample without peeking at future data.
+//! [`OnlineMinMax::freeze`] turns its current bounds into a [`MinMaxScaler`].
+//!
+//! Both scalers widen and scale through the same two private functions, so
+//! a frozen streaming scaler maps every row to the bits the live one gives.
 
 use serde::{Deserialize, Serialize};
 
@@ -43,6 +47,40 @@ fn log1p_pos(x: f32) -> f32 {
     x.max(0.0).ln_1p()
 }
 
+/// Widen the bounds `min`/`max` (one per selected column) with one row.
+///
+/// A NaN bound counts as unset. The JSON codec writes the ±∞ bounds of a
+/// column that has seen no value as `null` and reads them back as NaN, and
+/// `v < NaN` is false, so without this a scaler saved before its first
+/// row could never widen again.
+fn widen(cols: &[usize], log1p: bool, min: &mut [f32], max: &mut [f32], row: &[f32]) {
+    for (j, &c) in cols.iter().enumerate() {
+        let v = if log1p { log1p_pos(row[c]) } else { row[c] };
+        if v < min[j] || min[j].is_nan() {
+            min[j] = v;
+        }
+        if v > max[j] || max[j].is_nan() {
+            max[j] = v;
+        }
+    }
+}
+
+/// Scale one row's selected columns into `out`, clamped to `[0, 1]`. A
+/// column whose span is not a positive finite number (constant, unseen,
+/// or holding an infinity) maps to 0.
+fn scale(cols: &[usize], log1p: bool, min: &[f32], max: &[f32], row: &[f32], out: &mut [f32]) {
+    assert_eq!(out.len(), cols.len());
+    for (j, &c) in cols.iter().enumerate() {
+        let v = if log1p { log1p_pos(row[c]) } else { row[c] };
+        let span = max[j] - min[j];
+        out[j] = if span > 0.0 && span.is_finite() {
+            ((v - min[j]) / span).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+    }
+}
+
 impl MinMaxScaler {
     /// Fit bounds for `cols` over the given rows.
     ///
@@ -71,15 +109,7 @@ impl MinMaxScaler {
         let mut any = false;
         for row in rows {
             any = true;
-            for (j, &c) in cols.iter().enumerate() {
-                let v = if log1p { log1p_pos(row[c]) } else { row[c] };
-                if v < min[j] {
-                    min[j] = v;
-                }
-                if v > max[j] {
-                    max[j] = v;
-                }
-            }
+            widen(cols, log1p, &mut min, &mut max, row);
         }
         assert!(any, "MinMaxScaler::fit requires at least one row");
         Self {
@@ -109,50 +139,7 @@ impl MinMaxScaler {
 
     /// Transform into a caller-provided buffer (no allocation).
     pub fn transform_into(&self, row: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), self.cols.len());
-        for (j, &c) in self.cols.iter().enumerate() {
-            let v = if self.log1p {
-                log1p_pos(row[c])
-            } else {
-                row[c]
-            };
-            let span = self.max[j] - self.min[j];
-            out[j] = if span > 0.0 {
-                ((v - self.min[j]) / span).clamp(0.0, 1.0)
-            } else {
-                // Constant feature in training data: map everything to 0.
-                0.0
-            };
-        }
-    }
-
-    /// Columnar transform: `input[c]` holds all rows of raw feature `c`;
-    /// the result holds one scaled column per *selected* feature, in
-    /// selection order. Each element goes through the exact expression
-    /// [`Self::transform`] applies, so scoring a transposed batch is
-    /// bit-identical to scaling row by row — the invariant the telemetry
-    /// store's segment-replay path relies on.
-    pub fn transform_columns(&self, input: &[&[f32]]) -> Vec<Vec<f32>> {
-        let n = input.first().map_or(0, |c| c.len());
-        self.cols
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| {
-                let col = input[c];
-                assert_eq!(col.len(), n, "ragged input columns");
-                let span = self.max[j] - self.min[j];
-                col.iter()
-                    .map(|&x| {
-                        let v = if self.log1p { log1p_pos(x) } else { x };
-                        if span > 0.0 {
-                            ((v - self.min[j]) / span).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+        scale(&self.cols, self.log1p, &self.min, &self.max, row, out);
     }
 }
 
@@ -188,19 +175,7 @@ impl OnlineMinMax {
 
     /// Widen bounds with one observed row.
     pub fn update(&mut self, row: &[f32]) {
-        for (j, &c) in self.cols.iter().enumerate() {
-            let v = if self.log1p {
-                log1p_pos(row[c])
-            } else {
-                row[c]
-            };
-            if v < self.min[j] {
-                self.min[j] = v;
-            }
-            if v > self.max[j] {
-                self.max[j] = v;
-            }
-        }
+        widen(&self.cols, self.log1p, &mut self.min, &mut self.max, row);
         self.seen += 1;
     }
 
@@ -219,22 +194,23 @@ impl OnlineMinMax {
         self.cols.len()
     }
 
+    /// `Err` unless there is one `min` and one `max` bound per column (a
+    /// decoded scaler can carry any lengths; NaN bounds are valid).
+    pub fn validate(&self) -> Result<(), String> {
+        let n = self.cols.len();
+        if self.min.len() != n || self.max.len() != n {
+            return Err(format!(
+                "scaler has {n} columns but {} min and {} max bounds",
+                self.min.len(),
+                self.max.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Transform with the current bounds (clamped to `[0, 1]`).
     pub fn transform_into(&self, row: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), self.cols.len());
-        for (j, &c) in self.cols.iter().enumerate() {
-            let v = if self.log1p {
-                log1p_pos(row[c])
-            } else {
-                row[c]
-            };
-            let span = self.max[j] - self.min[j];
-            out[j] = if span > 0.0 && span.is_finite() {
-                ((v - self.min[j]) / span).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-        }
+        scale(&self.cols, self.log1p, &self.min, &self.max, row, out);
     }
 
     /// Allocating variant of [`OnlineMinMax::transform_into`].
@@ -244,33 +220,16 @@ impl OnlineMinMax {
         out
     }
 
-    /// Columnar transform with the current bounds: `input[c]` holds all
-    /// rows of raw feature `c`; the result holds one scaled column per
-    /// selected feature, in selection order. Each element goes through the
-    /// exact expression [`OnlineMinMax::transform_into`] applies (including
-    /// the finite-span guard), so a transposed batch scales bit-identically
-    /// to row-by-row — the store's columnar ORF scoring path relies on it.
-    pub fn transform_columns(&self, input: &[&[f32]]) -> Vec<Vec<f32>> {
-        let n = input.first().map_or(0, |c| c.len());
-        self.cols
-            .iter()
-            .enumerate()
-            .map(|(j, &c)| {
-                let col = input[c];
-                assert_eq!(col.len(), n, "ragged input columns");
-                let span = self.max[j] - self.min[j];
-                col.iter()
-                    .map(|&x| {
-                        let v = if self.log1p { log1p_pos(x) } else { x };
-                        if span > 0.0 && span.is_finite() {
-                            ((v - self.min[j]) / span).clamp(0.0, 1.0)
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+    /// The current bounds as a fixed [`MinMaxScaler`]: same columns,
+    /// bounds and pre-transform, so it scales every row to the bits
+    /// [`Self::transform_into`] gives now.
+    pub fn freeze(&self) -> MinMaxScaler {
+        MinMaxScaler {
+            cols: self.cols.clone(),
+            min: self.min.clone(),
+            max: self.max.clone(),
+            log1p: self.log1p,
+        }
     }
 }
 
@@ -355,30 +314,73 @@ mod tests {
     }
 
     #[test]
-    fn columnar_transform_matches_rowwise_bitwise() {
+    fn a_frozen_online_scaler_scales_to_the_live_bits() {
         let rows: Vec<[f32; 3]> = vec![
-            [0.0, 5.0, 9.9],
-            [10.0, 7.0, 0.3],
-            [3.5, -2.0, 1e6],
-            [7.25, 6.0, 0.0],
+            [0.0, 5.0, f32::NAN],
+            [10.0, f32::INFINITY, 3.0],
+            [3.5, -2.0, f32::NEG_INFINITY],
+            [7.25, 6.0, 1e6],
         ];
-        for scaler in [
-            MinMaxScaler::fit(rows.iter().map(|r| r.as_slice()), &[0, 2]),
-            MinMaxScaler::fit_log1p(rows.iter().map(|r| r.as_slice()), &[2, 1]),
-        ] {
-            let cols: Vec<Vec<f32>> = (0..3)
-                .map(|c| rows.iter().map(|r| r[c]).collect())
-                .collect();
-            let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
-            let scaled = scaler.transform_columns(&col_refs);
-            assert_eq!(scaled.len(), scaler.n_outputs());
-            for (i, r) in rows.iter().enumerate() {
-                let want = scaler.transform(r);
-                for (j, w) in want.iter().enumerate() {
-                    assert_eq!(scaled[j][i].to_bits(), w.to_bits(), "row {i} out {j}");
+        let probes: Vec<[f32; 3]> = vec![
+            [f32::NAN, f32::NAN, f32::NAN],
+            [f32::INFINITY, f32::NEG_INFINITY, 0.5],
+            [f32::NEG_INFINITY, f32::INFINITY, -1.0],
+            [5.0, 4.0, 2.0],
+            [-1e30, 1e30, 0.0],
+        ];
+        for log1p in [false, true] {
+            let mut live = if log1p {
+                OnlineMinMax::new_log1p(&[2, 0, 1])
+            } else {
+                OnlineMinMax::new(&[2, 0, 1])
+            };
+            // Before its first row, and after each one.
+            for seen in 0..=rows.len() {
+                if seen > 0 {
+                    live.update(&rows[seen - 1]);
+                }
+                let frozen = live.freeze();
+                assert_eq!(frozen.cols(), live.cols());
+                for p in rows.iter().chain(&probes) {
+                    let (want, got) = (live.transform(p), frozen.transform(p));
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "log1p {log1p}, {seen} rows, {p:?}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_infinite_span_scales_to_zero_in_both_scalers() {
+        let rows: Vec<[f32; 1]> = vec![[0.0], [f32::INFINITY]];
+        let off = MinMaxScaler::fit(rows.iter().map(|r| r.as_slice()), &[0]);
+        let mut on = OnlineMinMax::new(&[0]);
+        rows.iter().for_each(|r| on.update(r));
+        for x in [0.0, 1.0, f32::INFINITY] {
+            assert_eq!(off.transform(&[x]), vec![0.0], "offline {x}");
+            assert_eq!(on.transform(&[x]), vec![0.0], "online {x}");
+        }
+    }
+
+    #[test]
+    fn a_scaler_saved_before_its_first_row_still_widens() {
+        let fresh = OnlineMinMax::new(&[0, 1]);
+        let json = serde_json::to_string(&fresh).unwrap();
+        let mut back: OnlineMinMax = serde_json::from_str(&json).unwrap();
+        assert!(
+            back.min.iter().chain(&back.max).all(|b| b.is_nan()),
+            "{json}"
+        );
+        let mut live = fresh;
+        for row in [[1.0f32, f32::NAN], [3.0, 2.0], [2.0, 6.0]] {
+            live.update(&row);
+            back.update(&row);
+            assert_eq!(
+                serde_json::to_string(&back).unwrap(),
+                serde_json::to_string(&live).unwrap()
+            );
+        }
+        assert_eq!(back.transform(&[2.0, 4.0]), vec![0.5, 0.5]);
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //!   consistent prefix.
 //! - **Reader** (`reader`): [`Store`] streams [`DiskDay`] records or full
 //!   [`FleetEvent`] sequences (failure events synthesized from the disk
-//!   roster in exactly the simulator's order), exposes the batch-columnar
-//!   [`Segment`] view the frozen scorer consumes directly, and offers
-//!   [`Store::verify`] / [`Store::info`] for integrity checks and
-//!   `data info` summaries.
+//!   roster in exactly the simulator's order), exposes each decoded
+//!   [`Segment`], and offers [`Store::verify`] / [`Store::info`] for
+//!   integrity checks and `data info` summaries.
 //! - **Faults** (`fault`): write-time injection points (torn write, crash
 //!   before rename, silent byte flip) driven by the testkit; every
 //!   corruption surfaces as a typed [`StoreError`], never a panic.

@@ -405,8 +405,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// A fully decoded segment: columnar in memory, rows materialized on
-/// demand. Feature columns are exposed as slices so the frozen scorer can
-/// consume them without building row vectors.
+/// demand.
 #[derive(Debug)]
 pub struct Segment {
     disk_ids: Vec<u32>,
@@ -571,18 +570,6 @@ impl Segment {
 
     pub fn days(&self) -> &[u16] {
         &self.days
-    }
-
-    /// One decoded feature column (all rows of feature `c < n_features()`).
-    pub fn feature_col(&self, c: usize) -> &[f32] {
-        // lint: allow(panic_path, reason="decode() builds exactly n_features columns; c is a schema feature index by contract")
-        &self.cols[c]
-    }
-
-    /// All feature columns as borrowed slices — the batch-columnar view the
-    /// frozen scorer consumes without materializing rows.
-    pub fn feature_cols(&self) -> Vec<&[f32]> {
-        self.cols.iter().map(|c| c.as_slice()).collect()
     }
 
     /// Materialize row `i < n_rows()` as a [`DiskDay`] (gathers across

@@ -233,23 +233,23 @@ impl FrozenForest {
         self.score(x) >= tau
     }
 
-    /// The interleaved block kernel: advance [`LANES`] rows together one
-    /// tree level per step, gathering each lane's feature via `fetch`.
+    /// The interleaved block kernel: advance the [`LANES`] rows of `block`
+    /// together one tree level per step.
     ///
     /// # Safety
     ///
-    /// `fetch(lane, f)` must be in-bounds for every `lane < LANES` and
-    /// every `f < self.n_features` (the two range wrappers check row and
-    /// column dimensions before calling). Node indices stay in-bounds
-    /// because [`FrozenBuilder::add_tree`] — the only code that writes the
-    /// node arrays — sets `lo`/`hi` to absolute offsets inside the same
-    /// tree's pool range and lets leaves self-loop, so a cursor never
-    /// leaves the pool.
+    /// `block` must hold at least [`LANES`] rows, each at least
+    /// `self.n_features` long ([`Self::score_rows_range`] checks both before
+    /// calling). Node indices stay in-bounds because
+    /// [`FrozenBuilder::add_tree`] — the only code that writes the node
+    /// arrays — sets `lo`/`hi` to absolute offsets inside the same tree's
+    /// pool range and lets leaves self-loop, so a cursor never leaves the
+    /// pool.
     #[inline(always)]
-    // SAFETY: sound iff `fetch(lane, f)` is in-bounds for every lane < LANES
-    // and f < n_features — the `# Safety` contract above, upheld by the two
-    // length-checked wrappers (`score_rows_range`, `score_columns_range`).
-    unsafe fn score_block<F: Fn(usize, usize) -> f32>(&self, fetch: F, out: &mut [f32]) {
+    // SAFETY: sound iff `block` has LANES rows of at least n_features values
+    // — the `# Safety` contract above, upheld by the length-checked wrapper
+    // `score_rows_range`.
+    unsafe fn score_block(&self, block: &[&[f32]], out: &mut [f32]) {
         let mut acc = [0.0f32; LANES];
         for t in 0..self.n_trees() {
             // SAFETY: t < n_trees, so tree_starts[t] and tree_depths[t]
@@ -264,13 +264,13 @@ impl FrozenForest {
                     // through `lo`/`hi`, which the builder fills with
                     // absolute in-pool indices (leaves point at themselves),
                     // so every node-array read below is in bounds. `feature`
-                    // is < n_features for splits and 0 for leaves, so the
-                    // caller-guaranteed `fetch` contract covers the gather.
+                    // is < n_features for splits and 0 for leaves, and the
+                    // caller guarantees `l < LANES` rows of that width.
                     let f = *self.feature.get_unchecked(at) as usize;
                     let thr = *self.threshold.get_unchecked(at);
                     let lo = *self.lo.get_unchecked(at);
                     let hi = *self.hi.get_unchecked(at);
-                    let v = fetch(l, f);
+                    let v = *block.get_unchecked(l).get_unchecked(f);
                     *c = if v <= thr { lo } else { hi };
                 }
             }
@@ -296,53 +296,14 @@ impl FrozenForest {
         let n = rows.len();
         let full = n - n % LANES;
         for base in (0..full).step_by(LANES) {
-            let block: &[&[f32]] = &rows[base..base + LANES];
-            // SAFETY: every row's length was asserted equal to n_features
-            // above, and `f < n_features` per the kernel's contract, so the
-            // gather below is in bounds.
+            // SAFETY: the block holds LANES rows (base + LANES <= full <= n),
+            // and every row's length was asserted equal to n_features above.
             unsafe {
-                self.score_block(
-                    |l, f| *block.get_unchecked(l).get_unchecked(f),
-                    &mut out[base..base + LANES],
-                );
+                self.score_block(&rows[base..base + LANES], &mut out[base..base + LANES]);
             }
         }
         for i in full..n {
             out[i] = self.score(rows[i]);
-        }
-    }
-
-    /// Score the column-major rows `[base, base + out.len())` into `out` on
-    /// the calling thread (same split between kernel and tail as
-    /// [`Self::score_rows_range`]).
-    pub(crate) fn score_columns_range(&self, cols: &[&[f32]], base: usize, out: &mut [f32]) {
-        let n = out.len();
-        assert_eq!(cols.len(), self.n_features, "feature dimension mismatch");
-        for c in cols {
-            assert!(
-                c.len() >= base + n,
-                "feature column shorter than the rows scored"
-            );
-        }
-        let full = n - n % LANES;
-        for start in (0..full).step_by(LANES) {
-            let row0 = base + start;
-            // SAFETY: `f < n_features == cols.len()` per the kernel's
-            // contract, and `row0 + l < base + n <= cols[f].len()` was
-            // asserted above.
-            unsafe {
-                self.score_block(
-                    |l, f| *cols.get_unchecked(f).get_unchecked(row0 + l),
-                    &mut out[start..start + LANES],
-                );
-            }
-        }
-        let mut row = vec![0.0f32; self.n_features];
-        for i in full..n {
-            for (f, c) in cols.iter().enumerate() {
-                row[f] = c[base + i];
-            }
-            out[i] = self.score(&row);
         }
     }
 
@@ -512,27 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn columnar_scoring_matches_row_scoring() {
-        let f = two_tree_forest();
-        let rows = [
-            [0.0f32, 0.0, 0.7],
-            [0.3, 0.4, 0.1],
-            [0.9, 0.6, 0.2],
-            [0.1, 1.0, 0.5],
-        ];
-        let cols: Vec<Vec<f32>> = (0..3)
-            .map(|c| rows.iter().map(|r| r[c]).collect())
-            .collect();
-        let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
-        let by_col = f.score_columns(&col_refs);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(by_col[i].to_bits(), f.score(r).to_bits(), "row {i}");
-        }
-        let empty: Vec<&[f32]> = vec![&[], &[], &[]];
-        assert!(f.score_columns(&empty).is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "at least one tree")]
     fn empty_forest_is_rejected() {
         let _ = FrozenBuilder::new(2).finish(vec![0.0, 0.0]);
@@ -682,28 +622,16 @@ mod tests {
         // both spines.
         let cases: Vec<(Vec<f32>, f32)> = (0..=SPINE).map(|r| spine_row(r, SPINE - r)).collect();
         let rows: Vec<&[f32]> = cases.iter().map(|(x, _)| x.as_slice()).collect();
-        let cols: Vec<Vec<f32>> = (0..f.n_features())
-            .map(|c| rows.iter().map(|r| r[c]).collect())
-            .collect();
-        let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
         for (r, (x, want)) in cases.iter().enumerate() {
             // Single-row walk.
             assert_eq!(f.score(x).to_bits(), want.to_bits(), "row {r}: single");
             // Short tail: a one-row batch never fills a lane block.
             let tail = f.score_rows_threaded(&[x.as_slice()], 1);
             assert_eq!(tail[0].to_bits(), want.to_bits(), "row {r}: tail");
-            // 8-lane block: the row beside its seven successors (cyclically),
-            // through the row and the column gathers.
+            // 8-lane block: the row beside its seven successors (cyclically).
             let block: Vec<&[f32]> = (0..LANES).map(|l| rows[(r + l) % rows.len()]).collect();
             let by_rows = f.score_rows_threaded(&block, 1);
             assert_eq!(by_rows[0].to_bits(), want.to_bits(), "row {r}: block");
-            let block_cols: Vec<Vec<f32>> = col_refs
-                .iter()
-                .map(|c| (0..LANES).map(|l| c[(r + l) % rows.len()]).collect())
-                .collect();
-            let block_col_refs: Vec<&[f32]> = block_cols.iter().map(|c| c.as_slice()).collect();
-            let by_cols = f.score_columns_threaded(&block_col_refs, 1);
-            assert_eq!(by_cols[0].to_bits(), want.to_bits(), "row {r}: columns");
         }
     }
 }

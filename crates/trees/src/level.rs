@@ -64,16 +64,6 @@ impl FrozenForest {
         self.score_rows_threaded(rows, auto_threads(rows.len()))
     }
 
-    /// Batch prediction over column-major storage (one slice per feature,
-    /// equal lengths) — the telemetry-store replay path, which scores
-    /// decoded segments without materializing row vectors. The gather reads
-    /// `cols[f][i]` instead of `row[f]`; routing, tree order, and summation
-    /// are unchanged, so results are bit-identical to the row paths.
-    pub fn score_columns(&self, cols: &[&[f32]]) -> Vec<f32> {
-        let n = cols.first().map_or(0, |c| c.len());
-        self.score_columns_threaded(cols, auto_threads(n))
-    }
-
     /// Batch-score borrowed rows with an explicit worker count. Rows are
     /// split into contiguous chunks, one per worker, each writing its own
     /// disjoint slice of the output — per-row scores are independent, so
@@ -91,28 +81,6 @@ impl FrozenForest {
         std::thread::scope(|s| {
             for (chunk_rows, chunk_out) in rows.chunks(per).zip(out.chunks_mut(per)) {
                 s.spawn(move || self.score_rows_range(chunk_rows, chunk_out));
-            }
-        });
-        out
-    }
-
-    /// Batch-score column-major storage with an explicit worker count (see
-    /// [`Self::score_rows_threaded`] for the determinism argument).
-    pub fn score_columns_threaded(&self, cols: &[&[f32]], n_threads: usize) -> Vec<f32> {
-        let n = cols.first().map_or(0, |c| c.len());
-        for c in cols {
-            assert_eq!(c.len(), n, "ragged feature columns");
-        }
-        let mut out = vec![0.0f32; n];
-        let workers = n_threads.max(1).min(n.div_ceil(LANES).max(1));
-        if workers == 1 {
-            self.score_columns_range(cols, 0, &mut out);
-            return out;
-        }
-        let per = n.div_ceil(workers).div_ceil(LANES) * LANES;
-        std::thread::scope(|s| {
-            for (i, chunk_out) in out.chunks_mut(per).enumerate() {
-                s.spawn(move || self.score_columns_range(cols, i * per, chunk_out));
             }
         });
         out
@@ -220,15 +188,6 @@ mod tests {
             for (i, r) in refs.iter().enumerate() {
                 assert_eq!(got[i].to_bits(), f.score(r).to_bits(), "n={n} row {i}");
             }
-            // Column-major path over the same rows.
-            let cols: Vec<Vec<f32>> = (0..3)
-                .map(|c| rows.iter().map(|r| r[c]).collect())
-                .collect();
-            let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
-            let by_col = f.score_columns(&col_refs);
-            for (i, &s) in by_col.iter().enumerate() {
-                assert_eq!(s.to_bits(), got[i].to_bits(), "columns n={n} row {i}");
-            }
         }
     }
 
@@ -242,15 +201,6 @@ mod tests {
         let serial = f.score_rows_threaded(&refs, 1);
         for threads in [2, 3, 8] {
             assert_eq!(f.score_rows_threaded(&refs, threads), serial);
-        }
-        let cols: Vec<Vec<f32>> = (0..3)
-            .map(|c| rows.iter().map(|r| r[c]).collect())
-            .collect();
-        let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
-        let col_serial = f.score_columns_threaded(&col_refs, 1);
-        assert_eq!(col_serial, serial);
-        for threads in [2, 5] {
-            assert_eq!(f.score_columns_threaded(&col_refs, threads), col_serial);
         }
     }
 

@@ -7,7 +7,7 @@
 # fault-injection suites with a pinned seed set, the same TESTKIT_SEEDS
 # the workflow sets in its env (override with TESTKIT_SEEDS=1,2,3
 # scripts/ci.sh — see README "Testing & fault injection" and DESIGN.md
-# §9).
+# §9) — and last the orfbench benchmark's own tests.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -67,5 +67,16 @@ echo "== tier-1: full test suite =="
 # batch_equiv, frozen_equiv and fleet_equiv included, all under the
 # TESTKIT_SEEDS exported above.
 cargo test -q
+
+echo "== benchmark: orfbench builds and passes its tests =="
+# orfbench is a workspace of its own, so tier-1 never builds it. Its tests
+# include a Tiny run of all four workloads, so an API edit that breaks the
+# benchmark fails here instead of in a benchmark run. Building it makes
+# Cargo rewrite the committed orfbench/Cargo.lock, which changes only
+# together with the benchmark itself, so the committed file is put back.
+lock_copy="$(mktemp)"
+cp orfbench/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" orfbench/Cargo.lock; rm -f "$lock_copy"' EXIT
+cargo test --release --offline --manifest-path orfbench/Cargo.toml
 
 echo "ci: all green"

@@ -52,10 +52,6 @@ fn check_batch_paths(
     for n in batch_sizes() {
         let probes = hostile_rows(n, n_features, rng);
         let rows: Vec<&[f32]> = probes.iter().map(|p| p.as_slice()).collect();
-        let cols: Vec<Vec<f32>> = (0..n_features)
-            .map(|f| probes.iter().map(|p| p[f]).collect())
-            .collect();
-        let col_refs: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
 
         // Reference: live walk and frozen single-row, which must already
         // agree (frozen_equiv covers that; re-checked here because hostile
@@ -97,13 +93,8 @@ fn check_batch_paths(
                 &format!("score_rows_threaded({workers})"),
                 &frozen.score_rows_threaded(&rows, workers),
             )?;
-            check(
-                &format!("score_columns_threaded({workers})"),
-                &frozen.score_columns_threaded(&col_refs, workers),
-            )?;
         }
-        // Columnar kernel (store-segment shape) and Matrix surface.
-        check("score_columns", &frozen.score_columns(&col_refs))?;
+        // Matrix surface.
         let mut m = Matrix::with_capacity(n_features, n);
         for p in &probes {
             m.push_row(p);

@@ -36,22 +36,23 @@ fn checkpoint_bytes(ck: &Checkpoint) -> String {
     serde_json::to_string(ck).expect("checkpoint serializes")
 }
 
-#[test]
-fn restore_mid_stream_replays_identically() {
-    let events = fleet_events(2208);
-    let half = events.len() / 2;
+/// Serve `events` twice, both runs taking a checkpoint barrier after the
+/// first `cut` events: run A straight through, run B restored from its
+/// checkpoint file (at another shard count) for the tail. Both must raise
+/// the same alarms and end on the same checkpoint bytes.
+fn assert_restore_matches_uninterrupted(events: &[FleetEvent], cut: usize, tag: &str) {
     let tmp = std::env::temp_dir();
-    let ck_a = tmp.join("orfpred_restore_test_uninterrupted.json");
-    let ck_b = tmp.join("orfpred_restore_test_interrupted.json");
+    let ck_a = tmp.join(format!("orfpred_restore_test_{tag}_uninterrupted.json"));
+    let ck_b = tmp.join(format!("orfpred_restore_test_{tag}_interrupted.json"));
 
-    // Run A: straight through, with a checkpoint call at the midpoint (the
+    // Run A: straight through, with a checkpoint call at the cut (the
     // barrier consumes a sequence number, matching run B's cut).
     let engine_a = Engine::new(&serve_cfg(4));
-    for e in &events[..half] {
+    for e in &events[..cut] {
         engine_a.ingest(e.clone()).unwrap();
     }
     engine_a.checkpoint(&ck_a).unwrap();
-    for e in &events[half..] {
+    for e in &events[cut..] {
         engine_a.ingest(e.clone()).unwrap();
     }
     let fin_a = engine_a.finish().unwrap();
@@ -60,11 +61,11 @@ fn restore_mid_stream_replays_identically() {
         "stream must raise alarms for the comparison to mean anything"
     );
 
-    // Run B: same first half, checkpoint, then the process "crashes" (the
-    // engine is dropped). A fresh engine restores from the file — at a
-    // different shard count, which must not matter — and serves the tail.
+    // Run B: same head, checkpoint, then the process "crashes" (the engine
+    // is dropped). A fresh engine restores from the file — at a different
+    // shard count, which must not matter — and serves the tail.
     let engine_b1 = Engine::new(&serve_cfg(4));
-    for e in &events[..half] {
+    for e in &events[..cut] {
         engine_b1.ingest(e.clone()).unwrap();
     }
     engine_b1.checkpoint(&ck_b).unwrap();
@@ -73,7 +74,7 @@ fn restore_mid_stream_replays_identically() {
 
     let restored = Checkpoint::load(&ck_b).unwrap();
     let engine_b2 = Engine::restore(&serve_cfg(2), restored);
-    for e in &events[half..] {
+    for e in &events[cut..] {
         engine_b2.ingest(e.clone()).unwrap();
     }
     let fin_b = engine_b2.finish().unwrap();
@@ -88,6 +89,20 @@ fn restore_mid_stream_replays_identically() {
 
     std::fs::remove_file(&ck_a).ok();
     std::fs::remove_file(&ck_b).ok();
+}
+
+#[test]
+fn restore_mid_stream_replays_identically() {
+    let events = fleet_events(2208);
+    assert_restore_matches_uninterrupted(&events, events.len() / 2, "mid");
+}
+
+#[test]
+fn a_checkpoint_taken_before_the_first_event_restores_a_live_scaler() {
+    // The fresh scaler's ±∞ bounds are saved as null and read back as NaN;
+    // the restored engine must still widen them on its first sample.
+    let events = fleet_events(2208);
+    assert_restore_matches_uninterrupted(&events, 0, "empty");
 }
 
 #[test]

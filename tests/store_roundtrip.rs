@@ -173,13 +173,13 @@ fn single_disk_fleet_round_trips_across_extreme_segment_capacities() {
 
 #[test]
 fn segment_columns_score_bit_identical_to_materialized_rows() {
+    use orfpred::core::FrozenModel;
     use orfpred::eval::prep::{stream_orf, training_labels};
-    use orfpred::eval::scorer::{FrozenOrfScorer, Scorer};
 
     // Record a fleet, train an ORF on the replayed dataset, freeze it, then
-    // score every segment twice: straight off its columnar storage (the
-    // `feature_cols` → `score_raw_columns` path, no row materialization)
-    // and through materialized rows. Every score must match bit for bit.
+    // score every segment's rows, materialized from its columns, three
+    // times: through the frozen batch kernel, the frozen single-row walk
+    // and the live model. Every score must match bit for bit.
     let mut fleet = FleetConfig::sta(ScalePreset::Tiny, 101);
     fleet.n_good = 12;
     fleet.n_failed = 4;
@@ -208,32 +208,31 @@ fn segment_columns_score_bit_identical_to_materialized_rows() {
         ..orfpred::core::OrfConfig::default()
     };
     let (forest, scaler) = stream_orf(&ds, &labels, &cols, &orf_cfg, 0xC0);
-    let scorer = FrozenOrfScorer {
+    let scorer = FrozenModel {
         forest: forest.freeze(),
-        scaler,
+        scaler: scaler.freeze(),
     };
 
     let mut rows_scored = 0usize;
     for i in 0..store.n_segments() {
         let seg = store.segment(i).unwrap();
-        let raw_cols = seg.feature_cols();
-        let columnar = scorer.score_raw_columns(&raw_cols);
         let materialized: Vec<Vec<f32>> =
             (0..seg.n_rows()).map(|r| seg.record(r).features).collect();
         let row_refs: Vec<&[f32]> = materialized.iter().map(|f| &f[..]).collect();
-        let batch = scorer.score_raw_batch(&row_refs);
-        assert_eq!(columnar.len(), seg.n_rows(), "segment {i}");
+        let batch = scorer.score_rows(&row_refs);
+        assert_eq!(batch.len(), seg.n_rows(), "segment {i}");
         for (r, row) in row_refs.iter().enumerate() {
-            let single = scorer.score_raw(row);
-            assert_eq!(
-                columnar[r].to_bits(),
-                single.to_bits(),
-                "segment {i} row {r}: columnar vs single-row"
-            );
+            let single = scorer.score(row);
             assert_eq!(
                 batch[r].to_bits(),
                 single.to_bits(),
                 "segment {i} row {r}: row batch vs single-row"
+            );
+            let live = forest.score(&scaler.transform(row));
+            assert_eq!(
+                single.to_bits(),
+                live.to_bits(),
+                "segment {i} row {r}: frozen vs live"
             );
         }
         rows_scored += seg.n_rows();

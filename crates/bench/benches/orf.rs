@@ -1,8 +1,10 @@
 //! ORF micro-benchmarks: per-sample update cost, batch-update cost,
-//! prediction latency, and the `n_tests` memory/CPU knob. Trees are updated
-//! one after another; the per-tree RNG streams behind the "training and
-//! testing procedures can be easily parallelized" claim of §3.2 keep that
-//! order from changing any result.
+//! prediction latency, and the `n_tests` memory/CPU knob. Both update
+//! cases run one loop, `update_batch`: `update` is a batch of one, and a
+//! long batch runs tree by tree, keeping one tree's test pools in cache.
+//! The per-tree RNG streams behind the "training and testing procedures
+//! can be easily parallelized" claim of §3.2 make both orders give the
+//! same bits.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use orfpred_core::{OnlineRandomForest, OrfConfig};

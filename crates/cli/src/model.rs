@@ -68,7 +68,7 @@ impl SavedModel {
         if !labels.iter().any(|l| l.positive) {
             return Err("dataset has no positive samples — cannot train".into());
         }
-        let (forest, scaler) = stream_orf(
+        let model = stream_orf(
             ds,
             &labels,
             &table2_feature_columns(),
@@ -76,8 +76,8 @@ impl SavedModel {
             seed,
         );
         Ok(SavedModel::Online {
-            scaler,
-            forest,
+            scaler: model.scaler,
+            forest: model.forest,
             version: Some(orfpred_serve::CHECKPOINT_VERSION),
             labeller: None,
             alarm_threshold: None,

@@ -187,25 +187,32 @@ impl AdaptiveState {
     /// Returns `None` under [`UpdatePolicy::NoUpdate`] (and when the
     /// selected buffer is still empty).
     pub fn rebuild(&mut self, scaler: &OnlineMinMax) -> Option<OnlineRandomForest> {
-        let buffer: Vec<(Box<[f32]>, bool)> = match self.cfg.policy {
+        let buffer: Vec<&(Box<[f32]>, bool)> = match self.cfg.policy {
             UpdatePolicy::NoUpdate => return None,
-            UpdatePolicy::Replace => self.recent.iter().cloned().collect(),
-            UpdatePolicy::Accumulate => self.accum.clone(),
+            UpdatePolicy::Replace => self.recent.iter().collect(),
+            UpdatePolicy::Accumulate => self.accum.iter().collect(),
         };
         if buffer.is_empty() {
             return None;
         }
         // Fresh deterministic RNG stream per rebuild: same history, same
         // scaler, same rebuild ordinal → bit-identical forest everywhere.
+        // The buffer is scaled once and trained as one batch, which gives
+        // the per-sample bits.
         let seed = self
             .base_seed
             .wrapping_add((self.rebuilds + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut forest = OnlineRandomForest::new(self.n_features, self.orf.clone(), seed);
-        let mut scratch = vec![0.0f32; self.n_features];
-        for (row, positive) in &buffer {
-            scaler.transform_into(row, &mut scratch);
-            forest.update(&scratch, *positive);
+        let mut scaled = vec![0.0f32; self.n_features * buffer.len()];
+        for ((row, _), out) in buffer.iter().zip(scaled.chunks_exact_mut(self.n_features)) {
+            scaler.transform_into(row, out);
         }
+        let batch: Vec<(&[f32], bool)> = scaled
+            .chunks_exact(self.n_features)
+            .zip(&buffer)
+            .map(|(x, (_, positive))| (x, *positive))
+            .collect();
+        forest.update_batch(&batch);
         self.rebuilds += 1;
         Some(forest)
     }

@@ -8,11 +8,17 @@
 //! the temporal-forgetting mechanism that makes the model track a drifting
 //! SMART distribution.
 //!
-//! Determinism: trees are fully independent and are updated and scored one
-//! after another. Every tree owns a private RNG stream derived from the
-//! forest seed, so a tree's work never depends on another tree's — results
-//! are **bit-identical for a fixed seed**, the property the whole
-//! experiment suite leans on.
+//! One loop trains every forest: [`OnlineRandomForest::update_batch`] runs
+//! tree by tree over a batch and regrows a decayed tree at once, and
+//! [`OnlineRandomForest::update`] is a batch of one. The daemon, the
+//! online predictor, the eval harnesses and the drift rebuild all train
+//! through it.
+//!
+//! Determinism: trees are fully independent. Every tree owns a private RNG
+//! stream derived from the forest seed, so a tree's work never depends on
+//! another tree's, and a batch ends bit-identical to per-sample updates at
+//! any length. Results are **bit-identical for a fixed seed**, the
+//! property the whole experiment suite leans on.
 
 use crate::config::OrfConfig;
 use crate::tree::OnlineTree;
@@ -58,6 +64,17 @@ impl TreeSlot {
         } else {
             0.5 * (self.oobe_pos.value() + self.oobe_neg.value())
         }
+    }
+
+    /// Algorithm 1 line 26: discard and regrow. The replacement stream id
+    /// mixes slot and generation so regrown trees never replay a previous
+    /// tree's randomness. Regrowth is rare; keeping it out of line keeps
+    /// [`OnlineRandomForest::update_batch`]'s per-sample loop tight.
+    #[cold]
+    fn regrow(&mut self, slot: usize, n_features: usize, cfg: &OrfConfig, master: &Xoshiro256pp) {
+        let generation = self.generation + 1;
+        let stream = (u64::from(generation)) << 32 | slot as u64;
+        *self = TreeSlot::new(n_features, cfg, master.split(stream), generation);
     }
 
     /// Process one sample for this tree (Algorithm 1, lines 2–28).
@@ -116,64 +133,33 @@ impl OnlineRandomForest {
         }
     }
 
-    /// Absorb one labelled sample (Algorithm 1 over all trees).
+    /// Absorb one labelled sample (Algorithm 1 over all trees): a batch of
+    /// one.
     pub fn update(&mut self, x: &[f32], positive: bool) {
-        assert_eq!(x.len(), self.n_features, "feature dimension mismatch");
-        self.samples_seen += 1;
-        let cfg = &self.cfg;
-        let mut replace: Vec<usize> = Vec::new();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.process(x, positive, cfg) {
-                replace.push(i);
-            }
-        }
-        self.replace_slots(&replace);
+        self.update_batch(&[(x, positive)]);
     }
 
-    /// Absorb a batch, tree by tree: each tree takes the whole batch before
-    /// the next one starts.
+    /// Absorb a batch in order, tree by tree: each tree takes the whole
+    /// batch before the next one starts, so one tree's nodes and test pools
+    /// stay in cache for the run. A tree flagged as decayed is regrown at
+    /// once and its successor takes the rest of the batch (Algorithm 1
+    /// line 26).
     ///
-    /// Exactly equivalent to calling [`OnlineRandomForest::update`] per
-    /// sample (per-tree RNG streams make tree work independent), except that
-    /// tree replacement is deferred to batch boundaries — a tree flagged as
-    /// decayed mid-batch finishes the batch before being regrown.
+    /// Trees never read each other's state, and a regrown tree's RNG stream
+    /// depends only on its slot and generation, so the forest ends
+    /// bit-identical to per-sample updates at any batch length.
     pub fn update_batch(&mut self, batch: &[(&[f32], bool)]) {
         for (x, _) in batch {
             assert_eq!(x.len(), self.n_features, "feature dimension mismatch");
         }
         self.samples_seen += batch.len() as u64;
-        let cfg = self.cfg.clone();
-        let flagged: Vec<usize> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let mut decayed = false;
-                for &(x, positive) in batch {
-                    decayed |= slot.process(x, positive, &cfg);
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            for &(x, positive) in batch {
+                if slot.process(x, positive, &self.cfg) {
+                    slot.regrow(i, self.n_features, &self.cfg, &self.master);
+                    self.trees_replaced += 1;
                 }
-                decayed.then_some(i)
-            })
-            .collect();
-        let mut flagged = flagged;
-        flagged.sort_unstable();
-        self.replace_slots(&flagged);
-    }
-
-    fn replace_slots(&mut self, indices: &[usize]) {
-        for &i in indices {
-            // Algorithm 1 line 26: discard and regrow. The replacement
-            // stream id mixes slot and generation so regrown trees never
-            // replay a previous tree's randomness.
-            let generation = self.slots[i].generation + 1;
-            let stream = (u64::from(generation)) << 32 | i as u64;
-            self.slots[i] = TreeSlot::new(
-                self.n_features,
-                &self.cfg,
-                self.master.split(stream),
-                generation,
-            );
-            self.trees_replaced += 1;
+            }
         }
     }
 
@@ -330,25 +316,86 @@ mod tests {
         assert_eq!(f.samples_seen(), 3_000);
     }
 
-    #[test]
-    fn update_and_update_batch_agree_exactly() {
-        let mut a = OnlineRandomForest::new(2, cfg_fast(), 1);
-        let mut b = OnlineRandomForest::new(2, cfg_fast(), 1);
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        let data: Vec<([f32; 2], bool)> = (0..800)
-            .map(|_| {
-                let x = [rng.next_f32(), rng.next_f32()];
-                (x, x[0] > 0.5)
+    /// `drift_triggers_tree_replacement`'s concept flip: 2,000 samples
+    /// positive iff x > 0.5, then 4,000 with the label flipped.
+    fn concept_flip() -> Vec<(Vec<f32>, bool)> {
+        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        (0..6_000)
+            .map(|i| {
+                let v = rng.next_f32();
+                (vec![v], (v > 0.5) == (i < 2_000))
             })
-            .collect();
-        for (x, y) in &data {
+            .collect()
+    }
+
+    fn cfg_flip() -> OrfConfig {
+        OrfConfig {
+            age_threshold: 100,
+            oobe_threshold: 0.35,
+            oobe_alpha: 0.02,
+            ..cfg_fast()
+        }
+    }
+
+    /// Feed `data` per sample and in runs of 1, 7, 512 and the whole
+    /// stream; every run length must give the per-sample forest's bits.
+    /// Returns the per-sample forest.
+    fn assert_batches_match_per_sample(
+        data: &[(Vec<f32>, bool)],
+        cfg: &OrfConfig,
+        seed: u64,
+        probes: &[&[f32]],
+    ) -> OnlineRandomForest {
+        let n_features = data[0].0.len();
+        let mut a = OnlineRandomForest::new(n_features, cfg.clone(), seed);
+        for (x, y) in data {
             a.update(x, *y);
         }
-        let batch: Vec<(&[f32], bool)> = data.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
-        b.update_batch(&batch);
-        for probe in [[0.2f32, 0.6], [0.8, 0.1], [0.5, 0.5], [0.42, 0.99]] {
-            assert_eq!(a.score(&probe), b.score(&probe), "probe {probe:?}");
+        let bits = |f: &OnlineRandomForest| -> Vec<(u64, u64, usize)> {
+            f.tree_stats()
+                .into_iter()
+                .map(|(age, oobe, splits)| (age, oobe.to_bits(), splits))
+                .collect()
+        };
+        for run in [1, 7, 512, data.len()] {
+            let mut b = OnlineRandomForest::new(n_features, cfg.clone(), seed);
+            for chunk in data.chunks(run) {
+                let batch: Vec<(&[f32], bool)> =
+                    chunk.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
+                b.update_batch(&batch);
+            }
+            assert_eq!(a.trees_replaced(), b.trees_replaced(), "run {run}");
+            assert_eq!(a.samples_seen(), b.samples_seen(), "run {run}");
+            assert_eq!(bits(&a), bits(&b), "tree stats, run {run}");
+            for probe in probes {
+                assert_eq!(
+                    a.score(probe).to_bits(),
+                    b.score(probe).to_bits(),
+                    "run {run}, probe {probe:?}"
+                );
+            }
         }
+        a
+    }
+
+    #[test]
+    fn update_and_update_batch_agree_exactly() {
+        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let data: Vec<(Vec<f32>, bool)> = (0..800)
+            .map(|_| {
+                let x = vec![rng.next_f32(), rng.next_f32()];
+                let y = x[0] > 0.5;
+                (x, y)
+            })
+            .collect();
+        let probes: [&[f32]; 4] = [&[0.2, 0.6], &[0.8, 0.1], &[0.5, 0.5], &[0.42, 0.99]];
+        assert_batches_match_per_sample(&data, &cfg_fast(), 1, &probes);
+
+        // A tree regrows mid-run here: the regrown tree must take the rest
+        // of the run, as it does under per-sample updates.
+        let probes: [&[f32]; 4] = [&[0.05], &[0.3], &[0.6], &[0.95]];
+        let f = assert_batches_match_per_sample(&concept_flip(), &cfg_flip(), 3, &probes);
+        assert!(f.trees_replaced() > 0, "the flip must regrow trees");
     }
 
     #[test]

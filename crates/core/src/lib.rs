@@ -17,7 +17,8 @@
 //! * [`online::OnlineModel`] — Algorithm 2's model step: streaming
 //!   min–max scaler + ORF + adaptation hook + alarm threshold, which learns
 //!   from released samples and scores fresh ones. The serial predictor
-//!   and the serve engine's model writer both run it;
+//!   and the serve engine's model writer both run it, and the eval
+//!   harnesses train it on oracle labels ([`online::OnlineModel::learn_labelled`]);
 //! * [`frozen::FrozenModel`] — the fixed scaler + [`orfpred_trees::FrozenForest`]
 //!   pair that serve snapshots, the CLI and the eval harnesses score with;
 //!   [`online::OnlineModel::freeze`] builds one;

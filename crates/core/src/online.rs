@@ -194,6 +194,28 @@ impl OnlineModel {
         drifted
     }
 
+    /// Train on raw rows whose labels come from an oracle instead of the
+    /// labeller (the eval harnesses' chronological replay): widen the
+    /// scaler with each row and scale that row at that point, then train
+    /// the forest on the whole run with one
+    /// [`OnlineRandomForest::update_batch`]. The result is bit-identical to
+    /// feeding the rows one at a time, at any run length. The adaptation
+    /// loop does not run.
+    pub fn learn_labelled(&mut self, rows: &[(&[f32], bool)]) {
+        let width = self.scaler.n_outputs();
+        let mut scaled = vec![0.0f32; width * rows.len()];
+        for (&(row, _), out) in rows.iter().zip(scaled.chunks_exact_mut(width)) {
+            self.scaler.update(row);
+            self.scaler.transform_into(row, out);
+        }
+        let batch: Vec<(&[f32], bool)> = scaled
+            .chunks_exact(width)
+            .zip(rows)
+            .map(|(x, &(_, positive))| (x, positive))
+            .collect();
+        self.forest.update_batch(&batch);
+    }
+
     /// The prediction phase: score the fresh, still unlabelled sample and
     /// raise an alarm when the vote reaches the threshold (Algorithm 2
     /// line 20).

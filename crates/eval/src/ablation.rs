@@ -16,7 +16,6 @@
 
 use crate::metrics::score_test_disks;
 use crate::prep::{stream_orf, training_labels};
-use crate::scorer::OrfScorer;
 use crate::split::DiskSplit;
 use orfpred_core::OrfConfig;
 use orfpred_smart::record::Dataset;
@@ -96,24 +95,16 @@ pub fn run_ablation(
     standard_variants(base)
         .into_iter()
         .map(|(variant, cfg)| {
-            let (forest, scaler) = stream_orf(ds, &labels, cols, &cfg, seed ^ 0xAB1A7E);
-            let scored = score_test_disks(
-                ds,
-                &split.test,
-                &OrfScorer {
-                    forest: &forest,
-                    scaler: &scaler,
-                },
-                7,
-            );
+            let model = stream_orf(ds, &labels, cols, &cfg, seed ^ 0xAB1A7E);
+            let scored = score_test_disks(ds, &split.test, &model.freeze(), 7);
             let op = scored.tune_for_far(target_far);
             AblationRow {
                 variant,
                 fdr: op.fdr * 100.0,
                 far: op.far * 100.0,
                 tau: op.tau,
-                trees_replaced: forest.trees_replaced(),
-                total_splits: forest.tree_stats().iter().map(|(_, _, s)| s).sum(),
+                trees_replaced: model.forest.trees_replaced(),
+                total_splits: model.forest.tree_stats().iter().map(|(_, _, s)| s).sum(),
             }
         })
         .collect()

@@ -234,9 +234,9 @@ pub fn scored_disks_with(
 
 /// [`scored_disks_with`] under right-censoring: the world as known at
 /// `censor` — disks failing later count as good, observation windows clamp,
-/// and later samples are invisible. Equivalent to scoring
-/// `prep::truncate_dataset(ds, censor)` but without cloning the records
-/// (the §4.5 harness tunes operating points on censored views every month).
+/// and later samples are invisible. Scores a censored view without cloning
+/// the records (the §4.5 harness tunes operating points on censored views
+/// every month).
 pub fn scored_disks_censored(
     ds: &Dataset,
     disks: &[u32],
@@ -311,35 +311,14 @@ pub struct MonthlyOutcome {
     pub n_good: usize,
 }
 
-/// Evaluate a model's *practical* performance on month `month` (1-based,
+/// Evaluate a model's *practical* performance, scored by a record-position
+/// closure (precomputed causal scores), on month `month` (1-based,
 /// days `[(month-1)·month_days, month·month_days)`):
 ///
 /// * disks failing inside the month count toward FDR (detected iff one of
 ///   their in-window samples this month alarms);
 /// * disks active in the month that survive it — and survive `window` days
 ///   past its end — count toward FAR.
-pub fn monthly_outcome<S: Scorer>(
-    ds: &Dataset,
-    disks: &[u32],
-    scorer: &S,
-    tau: f32,
-    window: u16,
-    month: usize,
-    month_days: u16,
-) -> MonthlyOutcome {
-    monthly_outcome_with(
-        ds,
-        disks,
-        &|_, rec| scorer.score_raw(&rec.features),
-        tau,
-        window,
-        month,
-        month_days,
-    )
-}
-
-/// [`monthly_outcome`] over a record-position score closure (for
-/// precomputed causal scores).
 pub fn monthly_outcome_with(
     ds: &Dataset,
     disks: &[u32],
@@ -617,14 +596,30 @@ mod tests {
         let ds = fixture();
         // Month 1 = days 0..30; month 2 = days 30..60.
         // Disk 0 fails day 30 → month 2. Disk 1 fails day 40 → month 2.
-        let m1 = monthly_outcome(&ds, &[0, 1, 2, 3], &Passthrough, 0.5, 7, 1, 30);
+        let m1 = monthly_outcome_with(
+            &ds,
+            &[0, 1, 2, 3],
+            &|_, rec| Passthrough.score_raw(&rec.features),
+            0.5,
+            7,
+            1,
+            30,
+        );
         assert_eq!(m1.n_failed, 0);
         // Disk 0 fails within 7 days of month 1's end → neither failed-this-
         // month nor clean-good. Disk 1 fails on day 40, beyond the window,
         // so in month 1 it is a good disk; disk 3's day-10 spike false-alarms.
         assert_eq!(m1.n_good, 3);
         assert!((m1.far - 1.0 / 3.0).abs() < 1e-12);
-        let m2 = monthly_outcome(&ds, &[0, 1, 2, 3], &Passthrough, 0.5, 7, 2, 30);
+        let m2 = monthly_outcome_with(
+            &ds,
+            &[0, 1, 2, 3],
+            &|_, rec| Passthrough.score_raw(&rec.features),
+            0.5,
+            7,
+            2,
+            30,
+        );
         assert_eq!(m2.n_failed, 2);
         assert!((m2.fdr - 0.5).abs() < 1e-12, "disk 0 detected in month 2");
         assert_eq!(m2.n_good, 2);
@@ -667,7 +662,15 @@ mod tests {
         ds.disks[2].install_day = 50;
         // Records before install are invalid; strip them.
         ds.records.retain(|r| r.disk_id != 2 || r.day >= 50);
-        let m1 = monthly_outcome(&ds, &[2], &Passthrough, 0.5, 7, 1, 30);
+        let m1 = monthly_outcome_with(
+            &ds,
+            &[2],
+            &|_, rec| Passthrough.score_raw(&rec.features),
+            0.5,
+            7,
+            1,
+            30,
+        );
         assert_eq!(m1.n_good, 0);
         assert!(m1.far.is_nan());
     }

@@ -7,8 +7,8 @@
 //! values) — the metrics only use their ordering.
 
 use orfpred_baselines::{GaussianNaiveBayes, Gbdt, MahalanobisDetector};
-use orfpred_core::{FrozenModel, OnlinePredictor, OnlineRandomForest};
-use orfpred_smart::scale::{MinMaxScaler, OnlineMinMax};
+use orfpred_core::FrozenModel;
+use orfpred_smart::scale::MinMaxScaler;
 use orfpred_svm::Svm;
 use orfpred_trees::threshold::ThresholdModel;
 use orfpred_trees::{DecisionTree, RandomForest};
@@ -83,22 +83,6 @@ impl Scorer for ThresholdScorer {
     }
 }
 
-/// An ORF snapshot + the streaming scaler state it was trained with.
-pub struct OrfScorer<'a> {
-    /// The live forest.
-    pub forest: &'a OnlineRandomForest,
-    /// The streaming scaler at the same point in the stream.
-    pub scaler: &'a OnlineMinMax,
-}
-
-impl Scorer for OrfScorer<'_> {
-    fn score_raw(&self, features: &[f32]) -> f32 {
-        let mut scaled = vec![0.0f32; self.scaler.n_outputs()];
-        self.scaler.transform_into(features, &mut scaled);
-        self.forest.score(&scaled)
-    }
-}
-
 /// A scaler + frozen forest: the scoring path every tree model funnels
 /// through after `freeze()` — offline DT and RF behind their fitted
 /// scaler, the ORF behind its streaming scaler's bounds. Batches run the
@@ -153,18 +137,6 @@ pub struct GbdtScorer {
 impl Scorer for GbdtScorer {
     fn score_raw(&self, features: &[f32]) -> f32 {
         self.model.score(&self.scaler.transform(features))
-    }
-}
-
-/// A full [`OnlinePredictor`] used as a scorer (Algorithm 2 deployment).
-pub struct PredictorScorer<'a> {
-    /// The live pipeline.
-    pub predictor: &'a OnlinePredictor,
-}
-
-impl Scorer for PredictorScorer<'_> {
-    fn score_raw(&self, features: &[f32]) -> f32 {
-        self.predictor.score_row(features)
     }
 }
 

@@ -53,14 +53,6 @@ impl DiskSplit {
             is_train,
         }
     }
-
-    /// Number of failed disks in the test set.
-    pub fn test_failed(&self, ds: &Dataset) -> usize {
-        self.test
-            .iter()
-            .filter(|&&d| ds.disks[d as usize].failed)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +80,12 @@ mod tests {
             .filter(|&&d| ds.disks[d as usize].failed)
             .count();
         assert_eq!(train_failed, 14, "70% of 20 failed disks");
-        assert_eq!(split.test_failed(&ds), 6);
+        let test_failed = split
+            .test
+            .iter()
+            .filter(|&&d| ds.disks[d as usize].failed)
+            .count();
+        assert_eq!(test_failed, 6);
         // No overlap.
         for &d in &split.train {
             assert!(split.is_train[d as usize]);

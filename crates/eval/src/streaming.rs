@@ -11,17 +11,20 @@
 //!
 //! 1. collect the training matrix (all positive samples + Bernoulli-thinned
 //!    negatives at the rate that lands λ·|positives| in expectation) and
-//!    run the ORF over the training disks' chronological samples;
+//!    run the ORF over the training disks' chronological samples through
+//!    [`OnlineModel::learn_labelled`], the trainer `stream_orf` uses;
 //! 2. re-generate the stream and score every test-disk sample with the
-//!    fitted offline RF and the final ORF, folding into per-disk maxima.
+//!    fitted offline RF and the final ORF, each frozen into a
+//!    [`FrozenModel`], folding into per-disk maxima.
 //!
 //! Peak memory: the training matrix + O(#disks) accumulators.
 
 use crate::metrics::ScoredDisks;
-use orfpred_core::{OnlineRandomForest, OrfConfig};
+use crate::prep::TRAIN_RUN;
+use orfpred_core::{FrozenModel, OnlineModel, OnlinePredictorConfig, OrfConfig};
 use orfpred_smart::gen::{FleetConfig, FleetEvent, FleetSim, MceSim};
 use orfpred_smart::record::DiskInfo;
-use orfpred_smart::scale::{MinMaxScaler, OnlineMinMax};
+use orfpred_smart::scale::MinMaxScaler;
 use orfpred_trees::{ForestConfig, RandomForest};
 use orfpred_util::{Matrix, Xoshiro256pp};
 use serde::{Deserialize, Serialize};
@@ -198,12 +201,19 @@ where
     let mut neg_rows: Vec<Box<[f32]>> = Vec::new();
     let mut n_neg_total = 0u64;
     let mut n_samples = 0u64;
-    let mut orf = OnlineRandomForest::new(cfg.cols.len(), cfg.orf.clone(), cfg.seed ^ 0x0e);
-    let mut orf_scaler = OnlineMinMax::new_log1p(&cfg.cols);
-    let mut scratch = vec![0.0f32; cfg.cols.len()];
+    let mut orf = OnlineModel::new(&OnlinePredictorConfig {
+        orf: cfg.orf.clone(),
+        ..OnlinePredictorConfig::new(cfg.cols.clone(), cfg.seed ^ 0x0e)
+    });
     // ORF trains in chronological order on the oracle-labelled training
-    // samples (the Table 4 protocol), thinning nothing — λn does the
-    // thinning inside the forest.
+    // samples (the Table 4 protocol), in runs of `TRAIN_RUN`, thinning
+    // nothing — λn does the thinning inside the forest.
+    let mut run: Vec<(Vec<f32>, bool)> = Vec::with_capacity(TRAIN_RUN);
+    let learn = |orf: &mut OnlineModel, run: &mut Vec<(Vec<f32>, bool)>| {
+        let rows: Vec<(&[f32], bool)> = run.iter().map(|(x, y)| (x.as_slice(), *y)).collect();
+        orf.learn_labelled(&rows);
+        run.clear();
+    };
     for ev in events() {
         let FleetEvent::Sample(rec) = ev else {
             continue;
@@ -216,9 +226,6 @@ where
         let Some(positive) = oracle_label(info, rec.day, cfg.window) else {
             continue;
         };
-        orf_scaler.update(&rec.features);
-        orf_scaler.transform_into(&rec.features, &mut scratch);
-        orf.update(&scratch, positive);
         if positive {
             pos_rows.push(rec.features.as_slice().into());
         } else {
@@ -227,7 +234,12 @@ where
                 neg_rows.push(rec.features.as_slice().into());
             }
         }
+        run.push((rec.features, positive));
+        if run.len() == TRAIN_RUN {
+            learn(&mut orf, &mut run);
+        }
     }
+    learn(&mut orf, &mut run);
 
     // ---- Offline RF on the collected matrix. ----
     let scaler = MinMaxScaler::fit_log1p(
@@ -247,13 +259,16 @@ where
     let rf = RandomForest::fit(&x, &y, &cfg.forest, rng.next_u64());
 
     // ---- Pass 2: score the test disks with both final models. ----
-    // Both models are fixed from here on, so they are frozen into the flat
-    // scoring representation and rows are scored in batches: accumulate a
-    // chunk of scaled rows per model, fan the chunk out through the frozen
-    // batch kernel, then fold scores into the per-disk maxima (per-disk max
-    // is order-insensitive, so chunking cannot change the result).
-    let rf_frozen = rf.freeze();
-    let orf_frozen = orf.freeze();
+    // Both models are fixed from here on, so they are frozen and rows are
+    // scored in batches: accumulate a chunk of raw rows, score it through
+    // each model's scaler and batch kernel, then fold scores into the
+    // per-disk maxima (per-disk max is order-insensitive, so chunking
+    // cannot change the result).
+    let rf_model = FrozenModel {
+        scaler,
+        forest: rf.freeze(),
+    };
+    let orf_model = orf.freeze();
     #[derive(Clone, Copy)]
     struct Maxima {
         rf: f32,
@@ -267,21 +282,17 @@ where
         infos.len()
     ];
     const CHUNK_ROWS: usize = 4096;
-    let mut buf = vec![0.0f32; cfg.cols.len()];
-    let mut rf_chunk = Matrix::with_capacity(cfg.cols.len(), CHUNK_ROWS);
-    let mut orf_chunk = Matrix::with_capacity(cfg.cols.len(), CHUNK_ROWS);
-    let mut chunk_disks: Vec<u32> = Vec::with_capacity(CHUNK_ROWS);
-    let mut flush = |rf_chunk: &mut Matrix, orf_chunk: &mut Matrix, chunk_disks: &mut Vec<u32>| {
-        let rf_scores = rf_frozen.score_batch(rf_chunk);
-        let orf_scores = orf_frozen.score_batch(orf_chunk);
-        for (i, &disk) in chunk_disks.iter().enumerate() {
-            let m = &mut maxima[disk as usize];
-            m.rf = m.rf.max(rf_scores[i]);
-            m.orf = m.orf.max(orf_scores[i]);
+    let mut chunk: Vec<(u32, Vec<f32>)> = Vec::with_capacity(CHUNK_ROWS);
+    let mut flush = |chunk: &mut Vec<(u32, Vec<f32>)>| {
+        let rows: Vec<&[f32]> = chunk.iter().map(|(_, x)| x.as_slice()).collect();
+        let rf_scores = rf_model.score_rows(&rows);
+        let orf_scores = orf_model.score_rows(&rows);
+        for (((disk, _), rf), orf) in chunk.iter().zip(rf_scores).zip(orf_scores) {
+            let m = &mut maxima[*disk as usize];
+            m.rf = m.rf.max(rf);
+            m.orf = m.orf.max(orf);
         }
-        *rf_chunk = Matrix::with_capacity(cfg.cols.len(), CHUNK_ROWS);
-        *orf_chunk = Matrix::with_capacity(cfg.cols.len(), CHUNK_ROWS);
-        chunk_disks.clear();
+        chunk.clear();
     };
     for ev in events() {
         let FleetEvent::Sample(rec) = ev else {
@@ -297,16 +308,12 @@ where
         if info.failed != in_window {
             continue;
         }
-        scaler.transform_into(&rec.features, &mut buf);
-        rf_chunk.push_row(&buf);
-        orf_scaler.transform_into(&rec.features, &mut buf);
-        orf_chunk.push_row(&buf);
-        chunk_disks.push(rec.disk_id);
-        if chunk_disks.len() == CHUNK_ROWS {
-            flush(&mut rf_chunk, &mut orf_chunk, &mut chunk_disks);
+        chunk.push((rec.disk_id, rec.features));
+        if chunk.len() == CHUNK_ROWS {
+            flush(&mut chunk);
         }
     }
-    flush(&mut rf_chunk, &mut orf_chunk, &mut chunk_disks);
+    flush(&mut chunk);
 
     let mut rf_scored = ScoredDisks::default();
     let mut orf_scored = ScoredDisks::default();

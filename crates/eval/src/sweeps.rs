@@ -11,7 +11,7 @@
 use crate::metrics::score_test_disks;
 use crate::prep::{build_matrix, stream_orf, training_labels};
 use crate::report::{SweepRow, SweepTable};
-use crate::scorer::{OrfScorer, RfScorer};
+use crate::scorer::RfScorer;
 use crate::split::DiskSplit;
 use orfpred_core::OrfConfig;
 use orfpred_smart::record::Dataset;
@@ -120,12 +120,8 @@ pub fn table4(
                 lambda_neg: lambda_n,
                 ..cfg.orf.clone()
             };
-            let (forest, scaler) = stream_orf(ds, &labels, &cfg.cols, &orf_cfg, rng.next_u64());
-            let scorer = OrfScorer {
-                forest: &forest,
-                scaler: &scaler,
-            };
-            let scored = score_test_disks(ds, &split.test, &scorer, cfg.window);
+            let model = stream_orf(ds, &labels, &cfg.cols, &orf_cfg, rng.next_u64());
+            let scored = score_test_disks(ds, &split.test, &model.freeze(), cfg.window);
             fdrs.push(scored.fdr(cfg.tau) * 100.0);
             fars.push(scored.far(cfg.tau) * 100.0);
         }

@@ -218,15 +218,12 @@ pub fn run_zoo(ds: &Dataset, cfg: &ZooConfig) -> Vec<ZooRow> {
 
     // ORF (chronological replay; frozen for the fixed-state evaluation).
     let t0 = train_timer();
-    let (forest, scaler) = stream_orf(ds, &labels, &cfg.cols, &cfg.orf, cfg.seed ^ 0x0f);
+    let model = stream_orf(ds, &labels, &cfg.cols, &cfg.orf, cfg.seed ^ 0x0f);
     add(
         "ORF (this paper)",
         "Xiao et al. 2018",
         t0.elapsed().as_millis() as u64,
-        &FrozenModel {
-            forest: forest.freeze(),
-            scaler: scaler.freeze(),
-        },
+        &model.freeze(),
     );
 
     rows

@@ -294,17 +294,9 @@ pub fn roc(opts: &Options) {
                 points: scored.roc(),
             });
         }
-        let (forest, scaler) =
+        let model =
             orfpred_eval::prep::stream_orf(&ds, &labels, &cols, &opts.orf_cfg(), opts.seed ^ 1);
-        let scored = score_test_disks(
-            &ds,
-            &split.test,
-            &orfpred_eval::scorer::OrfScorer {
-                forest: &forest,
-                scaler: &scaler,
-            },
-            7,
-        );
+        let scored = score_test_disks(&ds, &split.test, &model.freeze(), 7);
         out.push(ModelRoc {
             model: "ORF",
             auc: scored.auc(),
@@ -370,9 +362,8 @@ pub fn interpret(opts: &Options) {
     let split = DiskSplit::stratified(&ds, 0.7, &mut rng);
     let labels = orfpred_eval::prep::training_labels(&ds, &split.is_train, ds.duration_days, 7);
     let cols = opts.cols();
-    let (forest, _scaler) =
-        orfpred_eval::prep::stream_orf(&ds, &labels, &cols, &opts.orf_cfg(), opts.seed);
-    let imp = forest.importances();
+    let model = orfpred_eval::prep::stream_orf(&ds, &labels, &cols, &opts.orf_cfg(), opts.seed);
+    let imp = model.forest.importances();
     let mut ranked: Vec<(usize, f64)> = cols.iter().copied().zip(imp).collect();
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     println!("ORF feature importances on STA (weighted Gini decrease across online splits)");

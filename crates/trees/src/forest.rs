@@ -237,8 +237,8 @@ mod tests {
                 "row {i}"
             );
         }
-        let batch = frozen.score_batch(&x);
-        assert_eq!(batch, forest.score_batch(&x));
+        let rows: Vec<&[f32]> = x.rows().collect();
+        assert_eq!(frozen.score_rows(&rows), forest.score_batch(&x));
     }
 
     #[test]

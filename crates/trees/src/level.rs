@@ -38,7 +38,6 @@
 //! bit-identical for every thread count (including 1).
 
 use crate::FrozenForest;
-use orfpred_util::Matrix;
 
 /// Rows advanced together per tree level. Eight keeps the cursor block and
 /// accumulators comfortably in registers while exposing eight independent
@@ -50,16 +49,9 @@ pub const LANES: usize = 8;
 const MIN_ROWS_PER_THREAD: usize = 4096;
 
 impl FrozenForest {
-    /// Batch prediction over the rows of a [`Matrix`]: lane blocks advancing
-    /// level by level, with large batches fanned over the available cores.
-    /// Every row scores bit-identically to [`FrozenForest::score`].
-    pub fn score_batch(&self, rows: &Matrix) -> Vec<f32> {
-        let refs: Vec<&[f32]> = rows.rows().collect();
-        self.score_rows(&refs)
-    }
-
-    /// Batch prediction over borrowed rows (same kernel as
-    /// [`Self::score_batch`]).
+    /// Batch prediction over borrowed rows: lane blocks advancing level by
+    /// level, with large batches fanned over the available cores. Every
+    /// row scores bit-identically to [`FrozenForest::score`].
     pub fn score_rows(&self, rows: &[&[f32]]) -> Vec<f32> {
         self.score_rows_threaded(rows, auto_threads(rows.len()))
     }

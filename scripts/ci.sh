@@ -3,11 +3,13 @@
 # the workflow runs the same orfpred lints and bench compile gate as
 # steps of its lint and test jobs. Stages: release build, clippy (all
 # targets), rustfmt, rustdoc, the lints, the bench compile gate, the
-# repro smoke run, then tier-1 — every member's tests, including the
+# repro smoke runs, then tier-1 — every member's tests, including the
 # fault-injection suites with a pinned seed set, the same TESTKIT_SEEDS
 # the workflow sets in its env (override with TESTKIT_SEEDS=1,2,3
 # scripts/ci.sh — see README "Testing & fault injection" and DESIGN.md
-# §9) — and last the orfbench benchmark's own tests.
+# §9) — and last the orfbench benchmark's own tests. The repro smoke
+# stage runs the same commands as the workflow's "Smoke-run the repro
+# harness" step; keep the two files in step.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,7 +60,12 @@ echo "== bench compile gate (benches must not rot) =="
 cargo bench --no-run
 
 echo "== smoke: repro harness =="
+# table1 trains nothing; table4, ablation and paper-scale train ORFs end
+# to end through the eval trainer (a few seconds each in release).
 cargo run --release -p orfpred-repro -- table1 --scale tiny
+cargo run --release -p orfpred-repro -- table4 --scale tiny --repeats 1
+cargo run --release -p orfpred-repro -- ablation --scale tiny
+cargo run --release -p orfpred-repro -- paper-scale --scale tiny
 
 echo "== tier-1: full test suite =="
 # The root manifest's default-members is every workspace member, so this

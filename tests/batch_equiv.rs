@@ -94,12 +94,6 @@ fn check_batch_paths(
                 &frozen.score_rows_threaded(&rows, workers),
             )?;
         }
-        // Matrix surface.
-        let mut m = Matrix::with_capacity(n_features, n);
-        for p in &probes {
-            m.push_row(p);
-        }
-        check("score_batch(Matrix)", &frozen.score_batch(&m))?;
     }
     Ok(())
 }

@@ -13,6 +13,16 @@
 //! * the scores of a fixed probe set through [`OnlinePredictor::score_row`];
 //! * the final checkpoint JSON of a 2-shard [`Engine`] over the same stream.
 //!
+//! Two more legs pin the eval harnesses' trainer, which runs on oracle
+//! labels instead of the online labeller:
+//!
+//! * `eval::prep::stream_orf` (the Table 4 protocol) on a trimmed STA
+//!   fleet where trees split but none is regrown: the serialized scaler
+//!   and forest, and the probe set's scores;
+//! * `eval::streaming::run_streaming` (`paper-scale`'s two passes) on the
+//!   fleet and config of its unit tests: every bit of the RF and ORF
+//!   outcomes and the sample counts.
+//!
 //! A change that means to alter model bits updates the constants and says
 //! why in CHANGES.md; any other change leaves them alone.
 //!
@@ -20,9 +30,14 @@
 //! differ between platforms, so the constants are asserted on x86_64 Linux
 //! only. Elsewhere the test still runs every stream and prints the digests.
 
-use orfpred::core::{AdaptConfig, Alarm, OnlinePredictor, OnlinePredictorConfig, UpdatePolicy};
+use orfpred::core::{
+    AdaptConfig, Alarm, OnlineModel, OnlinePredictor, OnlinePredictorConfig, OrfConfig,
+    UpdatePolicy,
+};
+use orfpred::eval::prep::{stream_orf, training_labels};
+use orfpred::eval::streaming::{run_streaming, ModelOutcome, StreamingConfig};
 use orfpred::serve::{Engine, ServeConfig};
-use orfpred::smart::attrs::table2_feature_columns;
+use orfpred::smart::attrs::{table2_feature_columns, N_FEATURES};
 use orfpred::smart::gen::{FleetConfig, FleetEvent, FleetSim, MceFleetConfig, MceSim, ScalePreset};
 use orfpred::smart::DomainSchema;
 use serde_json::Value;
@@ -71,6 +86,12 @@ const PINNED: [(&str, Digests); 4] = [
     ),
 ];
 
+/// Pinned `stream_orf` digests: serialized scaler and forest, probe scores.
+const PINNED_STREAM_ORF: [u64; 2] = [0xdd6a_a462_5bca_628a, 0x818d_7dbf_3941_6463];
+
+/// Pinned `run_streaming` digest: both outcomes and every count.
+const PINNED_RUN_STREAMING: u64 = 0xdd02_0016_ffde_a971;
+
 /// 64-bit FNV-1a.
 struct Fnv(u64);
 
@@ -92,11 +113,16 @@ impl Fnv {
 /// The default-config runs take 60 healthy and 40 failing disks over 200
 /// days: with fewer positives, no leaf reaches the default
 /// `min_parent_size` of 200, no tree splits and no alarm fires.
-fn default_stream(mut cfg: FleetConfig) -> Vec<FleetEvent> {
+fn default_stream(cfg: FleetConfig) -> Vec<FleetEvent> {
+    FleetSim::new(&trimmed(cfg)).collect()
+}
+
+/// The size [`default_stream`] replays.
+fn trimmed(mut cfg: FleetConfig) -> FleetConfig {
     cfg.n_good = 60;
     cfg.n_failed = 40;
     cfg.duration_days = 200;
-    FleetSim::new(&cfg).collect()
+    cfg
 }
 
 /// `tests/serve_adapt.rs`'s stream, where its detector fires.
@@ -268,4 +294,82 @@ fn model_bits_match_the_pinned_digests() {
             mismatches.join("\n")
         );
     }
+}
+
+/// Assert one leg's digests on the pinned platform; print them everywhere.
+fn assert_pinned(name: &str, got: &[u64], pinned: &[u64]) {
+    println!("{name}: digests {got:#018x?}");
+    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        assert_eq!(got, pinned, "{name}: model bits changed");
+    }
+}
+
+#[test]
+fn stream_orf_bits_match_the_pinned_digests() {
+    let fleet = trimmed(FleetConfig::sta(ScalePreset::Tiny, 11));
+    let ds = FleetSim::collect(&fleet);
+    let all = vec![true; ds.disks.len()];
+    let labels = training_labels(&ds, &all, ds.duration_days, 7);
+    let orf = OrfConfig {
+        n_trees: 12,
+        n_tests: 60,
+        min_parent_size: 40.0,
+        min_gain: 0.02,
+        warmup_age: 10,
+        ..OrfConfig::default()
+    };
+    let OnlineModel { forest, scaler, .. } =
+        stream_orf(&ds, &labels, &table2_feature_columns(), &orf, 7);
+    assert_eq!(forest.samples_seen(), labels.len() as u64);
+    let splits: usize = forest.tree_stats().iter().map(|&(_, _, s)| s).sum();
+    assert!(splits > 0, "the pinned forest must split");
+    assert_eq!(forest.trees_replaced(), 0, "no tree may regrow in this leg");
+
+    let mut h = Fnv::new();
+    h.bytes(serde_json::to_string(&scaler).unwrap().as_bytes())
+        .bytes(serde_json::to_string(&forest).unwrap().as_bytes());
+    let model_digest = h.0;
+    let mut h = Fnv::new();
+    let mut scaled = vec![0.0f32; scaler.n_outputs()];
+    for row in probes(&default_stream(fleet), N_FEATURES) {
+        scaler.transform_into(&row, &mut scaled);
+        h.bytes(&forest.score(&scaled).to_bits().to_le_bytes());
+    }
+    assert_pinned("stream_orf", &[model_digest, h.0], &PINNED_STREAM_ORF);
+}
+
+#[test]
+fn run_streaming_bits_match_the_pinned_digest() {
+    let mut fleet = FleetConfig::sta(ScalePreset::Tiny, 23);
+    fleet.n_good = 150;
+    fleet.n_failed = 35;
+    fleet.duration_days = 400;
+    let mut cfg = StreamingConfig::new(table2_feature_columns(), 9);
+    cfg.target_far = 0.05;
+    cfg.forest.n_trees = 12;
+    cfg.orf.n_trees = 12;
+    cfg.orf.n_tests = 80;
+    cfg.orf.min_parent_size = 40.0;
+    cfg.orf.warmup_age = 10;
+    let r = run_streaming(&fleet, &cfg);
+
+    let mut h = Fnv::new();
+    for m in [&r.rf, &r.orf] {
+        let ModelOutcome { fdr, far, tau, auc } = *m;
+        h.bytes(&fdr.to_bits().to_le_bytes())
+            .bytes(&far.to_bits().to_le_bytes())
+            .bytes(&tau.to_bits().to_le_bytes())
+            .bytes(&auc.to_bits().to_le_bytes());
+    }
+    for n in [
+        r.n_train_pos as u64,
+        r.n_train_neg as u64,
+        r.n_train_neg_total,
+        r.n_test_failed as u64,
+        r.n_test_good as u64,
+        r.n_samples,
+    ] {
+        h.bytes(&n.to_le_bytes());
+    }
+    assert_pinned("run_streaming", &[h.0], &[PINNED_RUN_STREAMING]);
 }

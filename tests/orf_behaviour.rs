@@ -2,11 +2,11 @@
 //! convergence toward the offline RF, adaptation under drift, and
 //! determinism under a fixed seed.
 
-use orfpred::core::{OnlinePredictor, OnlinePredictorConfig};
+use orfpred::core::{OnlineModel, OnlinePredictor, OnlinePredictorConfig};
 use orfpred::eval::metrics::score_test_disks;
 use orfpred::eval::monthly::{run_monthly, MonthlyConfig};
 use orfpred::eval::prep::{build_matrix, stream_orf, training_labels};
-use orfpred::eval::scorer::{OrfScorer, RfScorer};
+use orfpred::eval::scorer::RfScorer;
 use orfpred::eval::split::DiskSplit;
 use orfpred::smart::attrs::table2_feature_columns;
 use orfpred::smart::gen::{FleetConfig, FleetSim, ScalePreset};
@@ -53,17 +53,8 @@ fn orf_lands_near_the_offline_rf_after_the_full_stream() {
     )
     .tune_for_far(0.05);
 
-    let (forest, scaler) = stream_orf(&ds, &labels, &table2_feature_columns(), &orf_cfg(), 4);
-    let orf_op = score_test_disks(
-        &ds,
-        &split.test,
-        &OrfScorer {
-            forest: &forest,
-            scaler: &scaler,
-        },
-        7,
-    )
-    .tune_for_far(0.05);
+    let model = stream_orf(&ds, &labels, &table2_feature_columns(), &orf_cfg(), 4);
+    let orf_op = score_test_disks(&ds, &split.test, &model.freeze(), 7).tune_for_far(0.05);
 
     assert!(rf_op.fdr > 0.7, "offline RF sanity: FDR {:.2}", rf_op.fdr);
     assert!(
@@ -131,7 +122,8 @@ fn orf_serde_snapshot_round_trips() {
     // A deployed predictor's forest can be checkpointed and restored.
     let ds = fleet(55);
     let labels = training_labels(&ds, &vec![true; ds.disks.len()], 300, 7);
-    let (forest, scaler) = stream_orf(&ds, &labels, &table2_feature_columns(), &orf_cfg(), 6);
+    let OnlineModel { forest, scaler, .. } =
+        stream_orf(&ds, &labels, &table2_feature_columns(), &orf_cfg(), 6);
     let json = serde_json::to_string(&forest).expect("serialize forest");
     let restored: orfpred::core::OnlineRandomForest =
         serde_json::from_str(&json).expect("deserialize forest");

@@ -6,7 +6,6 @@
 //! every case is reproducible from the fixed seeds below.
 
 use orfpred::core::{OnlineLabeller, OnlineRandomForest, OrfConfig};
-use orfpred::eval::prep::truncate_dataset;
 use orfpred::smart::csv::{civil_from_days, days_from_civil};
 use orfpred::smart::scale::{MinMaxScaler, OnlineMinMax};
 use orfpred::smart::select::rank_sum_test;
@@ -192,30 +191,5 @@ fn poisson_bagging_respects_zero_lambda() {
         }
         let ages: u64 = f.tree_stats().iter().map(|(a, _, _)| a).sum();
         assert_eq!(ages, 0, "no negative may enter a tree at λn = 0");
-    });
-}
-
-#[test]
-fn truncation_never_invents_failures() {
-    // Fleet generation per case is relatively costly; fewer cases suffice.
-    for_cases(12, |rng| {
-        let cutoff = rng.index(400) as u16;
-        let seed = rng.next_u64() % 50;
-        let mut cfg =
-            orfpred::smart::gen::FleetConfig::sta(orfpred::smart::gen::ScalePreset::Tiny, seed);
-        cfg.n_good = 20;
-        cfg.n_failed = 5;
-        cfg.duration_days = 300;
-        let ds = orfpred::smart::gen::FleetSim::collect(&cfg);
-        let cut = truncate_dataset(&ds, cutoff);
-        assert!(cut.validate().is_ok());
-        assert!(cut.n_failed() <= ds.n_failed());
-        // Every failure in the truncated view exists in the original, at
-        // the same day.
-        for d in cut.disks.iter().filter(|d| d.failed) {
-            let orig = &ds.disks[d.disk_id as usize];
-            assert!(orig.failed && orig.last_day == d.last_day);
-            assert!(d.last_day <= cutoff);
-        }
     });
 }

@@ -173,7 +173,6 @@ fn single_disk_fleet_round_trips_across_extreme_segment_capacities() {
 
 #[test]
 fn segment_columns_score_bit_identical_to_materialized_rows() {
-    use orfpred::core::FrozenModel;
     use orfpred::eval::prep::{stream_orf, training_labels};
 
     // Record a fleet, train an ORF on the replayed dataset, freeze it, then
@@ -207,11 +206,9 @@ fn segment_columns_score_bit_identical_to_materialized_rows() {
         warmup_age: 10,
         ..orfpred::core::OrfConfig::default()
     };
-    let (forest, scaler) = stream_orf(&ds, &labels, &cols, &orf_cfg, 0xC0);
-    let scorer = FrozenModel {
-        forest: forest.freeze(),
-        scaler: scaler.freeze(),
-    };
+    let model = stream_orf(&ds, &labels, &cols, &orf_cfg, 0xC0);
+    let scorer = model.freeze();
+    let (forest, scaler) = (&model.forest, &model.scaler);
 
     let mut rows_scored = 0usize;
     for i in 0..store.n_segments() {
